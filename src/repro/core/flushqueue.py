@@ -25,10 +25,10 @@ from repro.disk.partition import RangePartitioner
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.plan import DiskFault
+from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.data import DataLogRecord
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
 
 #: Oid-distance buckets for the flush-locality histogram (oid units).
 SEEK_DISTANCE_BUCKETS = (0, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
@@ -108,7 +108,7 @@ class FlushScheduler:
         drive_count: int,
         write_seconds: float,
         on_flush_complete: FlushCompleteCallback,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         metrics: MetricsRegistry = NULL_METRICS,
         faults=NULL_FAULTS,
     ):

@@ -3,10 +3,11 @@
 Three cooperating pieces, all disabled by default so the hot paths stay at
 paper speed:
 
-* :mod:`repro.obs.metrics` — named counters/gauges/histograms plus a
-  :class:`~repro.obs.metrics.Timer` keyed to simulated time;
-* :mod:`repro.obs.events` — the schema'd trace stream with pluggable
-  sinks (in-memory ring, JSONL file);
+* :mod:`repro.obs.metrics` — named counters, gauges and one mergeable
+  :class:`~repro.obs.metrics.Histogram` with percentiles;
+* :mod:`repro.obs.events` — the one trace class,
+  :class:`~repro.obs.events.EventStream`: a schema'd keep-latest ring
+  with pluggable sinks (JSONL file);
 * :mod:`repro.obs.manifest` — per-run JSON manifests capturing config,
   seed, code state, wall time and the final metric snapshot.
 
@@ -22,12 +23,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.obs.events import (
     EVENT_SCHEMA,
+    NULL_TRACE,
     EventSink,
     EventStream,
     JsonlSink,
-    RingSink,
+    TraceEvent,
     event_time_span,
     read_jsonl,
     register_event,
@@ -44,9 +47,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
-    Timer,
 )
-from repro.sim.trace import NULL_TRACE, TraceEvent, TraceLog
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -61,11 +62,8 @@ __all__ = [
     "NULL_TRACE",
     "ObsConfig",
     "Observability",
-    "RingSink",
     "RunManifest",
-    "Timer",
     "TraceEvent",
-    "TraceLog",
     "default_manifest_path",
     "describe_code",
     "event_time_span",
@@ -92,6 +90,12 @@ class ObsConfig:
     metrics: bool = False
     manifest_path: Optional[str] = None
     strict_schema: bool = False
+
+    def __post_init__(self) -> None:
+        if self.trace_capacity is not None and self.trace_capacity < 1:
+            raise ConfigurationError(
+                f"trace_capacity must be None or >= 1, got {self.trace_capacity}"
+            )
 
     @property
     def trace_enabled(self) -> bool:
@@ -127,7 +131,7 @@ class Observability:
             if self.config.jsonl_path is not None:
                 self.jsonl_sink = JsonlSink(self.config.jsonl_path)
                 sinks.append(self.jsonl_sink)
-            self.trace: TraceLog = EventStream(
+            self.trace = EventStream(
                 enabled=True,
                 capacity=self.config.trace_capacity,
                 sinks=sinks,
@@ -140,17 +144,16 @@ class Observability:
 
     def close(self) -> None:
         """Flush and close any file-backed sinks (idempotent)."""
-        if isinstance(self.trace, EventStream):
-            self.trace.close()
+        self.trace.close()
 
     def trace_summary(self) -> Dict[str, Any]:
         """Trace bookkeeping for the manifest."""
         summary: Dict[str, Any] = {
             "enabled": self.trace.enabled,
             "events_retained": len(self.trace),
-            "events_dropped": getattr(self.trace, "dropped", 0),
+            "events_dropped": self.trace.dropped,
         }
-        if isinstance(self.trace, EventStream):
+        if self.trace.enabled:
             summary["unknown_events"] = self.trace.unknown_events
         if self.jsonl_sink is not None:
             summary["jsonl_path"] = str(self.jsonl_sink.path)

@@ -1,20 +1,21 @@
-"""The structured event pipeline: a schema'd trace stream with sinks.
+"""The structured trace: one :class:`EventStream` with schema and sinks.
 
-:class:`EventStream` upgrades :class:`~repro.sim.trace.TraceLog` — same
-``emit(time, source, kind, detail)`` call components already make, same
-near-zero cost when disabled — with
+Components call ``emit(time, source, kind, detail)`` on an
+:class:`EventStream`; a disabled stream (such as :data:`NULL_TRACE`, the
+default everywhere) returns after one flag check, so paper-scale runs pay
+almost nothing for tracing.  An enabled stream
 
-* a **schema registry** of known ``source``/``kind`` pairs (see
-  :data:`EVENT_SCHEMA`), so traces are diffable between runs: a strict
-  stream rejects unregistered events instead of silently inventing new
-  namespaces;
-* **pluggable sinks**: every emitted event is also offered to each sink.
-  :class:`RingSink` keeps the latest N events in memory;
-  :class:`JsonlSink` appends one JSON object per line to a file, the
-  interchange format ``repro report`` re-parses.
-
-The in-memory keep-latest ring of the base class is retained, so an
-``EventStream`` is a drop-in ``TraceLog`` everywhere one is accepted.
+* keeps events in an in-memory **keep-latest ring**: at capacity the
+  oldest event is evicted, so the tail of a run — usually the interesting
+  part — is always retained, and :attr:`EventStream.dropped` counts the
+  evictions;
+* checks each event against a **schema registry** of known
+  ``source``/``kind`` pairs (see :data:`EVENT_SCHEMA`), so traces are
+  diffable between runs: a strict stream rejects unregistered events
+  instead of silently inventing new namespaces;
+* offers every event to its **sinks**: :class:`JsonlSink` appends one JSON
+  object per line to a file, the interchange format ``repro report``
+  re-parses.
 """
 
 from __future__ import annotations
@@ -23,10 +24,44 @@ import json
 from collections import Counter as TallyCounter
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import TraceEvent, TraceLog
+
+
+class TraceEvent(NamedTuple):
+    """One traced occurrence.
+
+    Attributes:
+        time: simulated time the event occurred at.
+        source: short component name (``"el"``, ``"flush"``, ``"gen0"``...).
+        kind: event kind (``"forward"``, ``"kill"``, ``"block_write"``...).
+        detail: free-form payload, usually a dict of identifiers.
+    """
+
+    time: float
+    source: str
+    kind: str
+    detail: Any
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable form (the JSONL line schema)."""
+        return {
+            "time": self.time,
+            "source": self.source,
+            "kind": self.kind,
+            "detail": self.detail,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TraceEvent":
+        return cls(
+            float(data["time"]),
+            str(data["source"]),
+            str(data["kind"]),
+            data.get("detail"),
+        )
+
 
 #: Known event namespaces: source -> set of kinds.  Components register
 #: their vocabulary here so ``repro report`` can flag schema drift and
@@ -99,34 +134,6 @@ class EventSink:
         """Release any resources; accepting after close is an error."""
 
 
-class RingSink(EventSink):
-    """Keeps the latest ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(f"ring sink needs capacity >= 1, got {capacity}")
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def accept(self, event: TraceEvent) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RingSink {len(self._events)}/{self.capacity} dropped={self.dropped}>"
-
-
 class JsonlSink(EventSink):
     """Appends events to ``path`` as JSON Lines (one event per line).
 
@@ -160,8 +167,8 @@ class JsonlSink(EventSink):
         return f"<JsonlSink {self.path} written={self.events_written}>"
 
 
-class EventStream(TraceLog):
-    """A :class:`TraceLog` that validates against the schema and feeds sinks."""
+class EventStream:
+    """An in-memory keep-latest trace that checks the schema and feeds sinks."""
 
     def __init__(
         self,
@@ -170,17 +177,30 @@ class EventStream(TraceLog):
         sinks: Sequence[EventSink] = (),
         strict: bool = False,
     ):
-        super().__init__(enabled=enabled, capacity=capacity)
+        self.enabled = enabled
+        self._capacity = capacity
+        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.dropped = 0
         self.sinks: List[EventSink] = list(sinks)
         self.strict = strict
         #: (source, kind) pairs emitted that the schema does not know.
         self.unknown_events = 0
+
+    @property
+    def capacity(self) -> Optional[int]:
+        """Maximum retained events, or ``None`` for unbounded."""
+        return self._capacity
 
     def add_sink(self, sink: EventSink) -> EventSink:
         self.sinks.append(sink)
         return sink
 
     def emit(self, time: float, source: str, kind: str, detail: Any = None) -> None:
+        """Record one event (no-op while :attr:`enabled` is false).
+
+        The event is built once; the ring and every sink get that object.
+        At capacity the *oldest* retained event is evicted.
+        """
         if not self.enabled:
             return
         if not is_known_event(source, kind):
@@ -190,16 +210,45 @@ class EventStream(TraceLog):
                     f"repro.obs.events.EVENT_SCHEMA (register_event)"
                 )
             self.unknown_events += 1
-        super().emit(time, source, kind, detail)
-        if self.sinks:
-            event = self._events[-1]
-            for sink in self.sinks:
-                sink.accept(event)
+        event = TraceEvent(time, source, kind, detail)
+        events = self._events
+        if self._capacity is not None and len(events) == self._capacity:
+            self.dropped += 1
+        events.append(event)
+        for sink in self.sinks:
+            sink.accept(event)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._events)
+
+    def select(self, source: Optional[str] = None, kind: Optional[str] = None) -> List[TraceEvent]:
+        """Events matching the given source and/or kind."""
+        return [
+            e
+            for e in self._events
+            if (source is None or e.source == source) and (kind is None or e.kind == kind)
+        ]
+
+    def clear(self) -> None:
+        """Drop all recorded events (the ``enabled`` flag is unchanged)."""
+        self._events.clear()
+        self.dropped = 0
 
     def close(self) -> None:
         """Close every attached sink (idempotent per sink contract)."""
         for sink in self.sinks:
             sink.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "on" if self.enabled else "off"
+        return f"<EventStream {state} events={len(self._events)} dropped={self.dropped}>"
+
+
+#: A shared disabled stream components can default to.
+NULL_TRACE = EventStream(enabled=False)
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,13 @@ A :class:`MetricsRegistry` hands out metric objects by name.  Components
 fetch their metrics once at construction time and update them on the hot
 path; when the registry is disabled it hands out shared no-op singletons,
 so a disabled run pays one dynamic dispatch per update site and allocates
-nothing.  All times are *simulated* seconds — :class:`Timer` takes the
-clock as a callable (usually ``lambda: sim.now``) so instrumentation never
-couples to the wall clock.
+nothing.  Simulator components record *simulated* seconds; the live
+service records wall-clock latencies into the same :class:`Histogram`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -19,6 +18,14 @@ from repro.errors import ConfigurationError
 #: suit both latencies (seconds) and small cardinalities (records, blocks).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
+)
+
+#: Bucket upper bounds for commit/settle latencies, in seconds.  Log-spaced
+#: from 0.5 ms to 60 s: fine enough to separate a 5 ms group commit from a
+#: 15 ms disk write, wide enough for multi-second stalls.
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
+    0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0,
 )
 
 
@@ -64,13 +71,16 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with count/total/min/max summary stats.
+    """Fixed-bucket histogram: count/total/min/max, merge and percentiles.
 
-    ``buckets`` are inclusive upper bounds; observations above the last
-    bound land in an implicit overflow bucket.
+    ``buckets`` are inclusive upper bounds (kept as :attr:`bounds`);
+    observations above the last bound land in an implicit overflow bucket,
+    so :attr:`counts` always has ``len(bounds) + 1`` entries.  Histograms
+    with the same bounds merge exactly, which is how per-shard and
+    per-drive distributions are combined.
     """
 
-    __slots__ = ("name", "buckets", "bucket_counts", "count", "total", "min", "max")
+    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
 
     def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
         bounds = tuple(buckets)
@@ -81,8 +91,8 @@ class Histogram:
                 f"histogram {name!r} buckets must be strictly increasing: {bounds}"
             )
         self.name = name
-        self.buckets = bounds
-        self.bucket_counts: List[int] = [0] * (len(bounds) + 1)
+        self.bounds = bounds
+        self.counts: List[int] = [0] * (len(bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -95,58 +105,103 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.buckets):
+        for index, bound in enumerate(self.bounds):
             if value <= bound:
-                self.bucket_counts[index] += 1
+                self.counts[index] += 1
                 return
-        self.bucket_counts[-1] += 1
+        self.counts[-1] += 1
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` into this histogram in place; returns ``self``."""
+        if other.bounds != self.bounds:
+            raise ConfigurationError(
+                "cannot merge histograms with different bucket bounds: "
+                f"{self.bounds} vs {other.bounds}"
+            )
+        for index, n in enumerate(other.counts):
+            self.counts[index] += n
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
+        return self
+
+    @classmethod
+    def merged(cls, histograms: Iterable["Histogram"]) -> "Histogram":
+        """Merge histograms into a fresh one (never one of the inputs).
+
+        The result takes the first input's name and bounds; an empty
+        iterable yields an empty histogram with the default bounds.
+        """
+        result: Optional[Histogram] = None
+        for hist in histograms:
+            if result is None:
+                result = cls(hist.name, hist.bounds)
+            result.merge(hist)
+        return result if result is not None else cls("merged")
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def percentile(self, q: float) -> Optional[float]:
+        """Estimate the ``q``-th percentile (``0 < q <= 100``).
+
+        The estimate interpolates linearly within the bucket containing the
+        target rank: the first bucket spans ``[0, bounds[0]]``, interior
+        buckets span ``(bounds[i-1], bounds[i]]``, and the overflow bucket
+        spans up to the observed maximum.  The result is clamped into the
+        observed ``[min, max]`` range.  Returns ``None`` when empty.
+        """
+        if not 0.0 < q <= 100.0:
+            raise ConfigurationError(f"percentile must be in (0, 100], got {q}")
+        if self.count == 0:
+            return None
+        target = (q / 100.0) * self.count
+        cumulative = 0
+        for index, n in enumerate(self.counts):
+            if n == 0:
+                continue
+            if cumulative + n >= target:
+                lo = 0.0 if index == 0 else self.bounds[index - 1]
+                if index < len(self.bounds):
+                    hi = self.bounds[index]
+                else:  # overflow bucket: top out at the observed maximum
+                    hi = self.max if self.max is not None else self.bounds[-1]
+                    hi = max(hi, lo)
+                fraction = (target - cumulative) / n
+                value = lo + fraction * (hi - lo)
+                if self.min is not None:
+                    value = max(value, self.min)
+                if self.max is not None:
+                    value = min(value, self.max)
+                return value
+            cumulative += n
+        # Unreachable when count == sum(counts); defend against drift anyway.
+        return self.max  # pragma: no cover
+
+    def percentiles(self, qs: Sequence[float] = (50.0, 95.0, 99.0)) -> Dict[str, Optional[float]]:
+        """Convenience: ``{"p50": ..., "p95": ..., "p99": ...}``."""
+        return {f"p{q:g}": self.percentile(q) for q in qs}
+
     def snapshot(self) -> dict:
-        return {
+        snap = {
             "type": "histogram",
             "count": self.count,
             "total": self.total,
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "buckets": list(self.buckets),
-            "bucket_counts": list(self.bucket_counts),
+            "buckets": list(self.bounds),
+            "bucket_counts": list(self.counts),
         }
+        snap.update(self.percentiles())
+        return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.4f}>"
-
-
-class Timer:
-    """Context manager observing elapsed *simulated* time into a histogram.
-
-    ::
-
-        timer = registry.timer("flush.settle_seconds", clock=lambda: sim.now)
-        with timer:
-            ...  # advance the simulation
-    """
-
-    __slots__ = ("histogram", "clock", "_started")
-
-    def __init__(self, histogram: Histogram, clock: Callable[[], float]):
-        self.histogram = histogram
-        self.clock = clock
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = self.clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        started = self._started
-        self._started = None
-        if started is not None:
-            self.histogram.observe(self.clock() - started)
 
 
 class _NullCounter(Counter):
@@ -170,21 +225,10 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def __enter__(self) -> "Timer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
 #: Shared no-op instances a disabled registry hands out.
 NULL_COUNTER = _NullCounter("null")
 NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null")
-NULL_TIMER = _NullTimer(NULL_HISTOGRAM, lambda: 0.0)
 
 
 class MetricsRegistry:
@@ -225,15 +269,9 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(name, lambda: Histogram(name, buckets), NULL_HISTOGRAM, Histogram)
 
-    def timer(
-        self,
-        name: str,
-        clock: Callable[[], float],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Timer:
-        if not self.enabled:
-            return NULL_TIMER
-        return Timer(self.histogram(name, buckets), clock)
+    def get(self, name: str) -> Optional[object]:
+        """The metric registered under ``name``, or ``None`` (never creates)."""
+        return self._metrics.get(name)
 
     def names(self) -> List[str]:
         return sorted(self._metrics)

@@ -19,9 +19,10 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.simulator import Simulation, run_simulation
+from repro.obs import ObsConfig
+from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
 
 
 class ShardedHarness:
@@ -259,7 +260,7 @@ class TestAggregateViews:
         assert shard0._m_forwarded is not shard1._m_forwarded
 
     def test_trace_events_carry_the_shard_index(self):
-        trace = TraceLog(enabled=True)
+        trace = EventStream(enabled=True)
         harness = ShardedHarness(trace=trace)
         tid = harness.begin()
         harness.update(tid, oid=10)
@@ -275,6 +276,21 @@ class TestAggregateViews:
         for event in events:
             if event.source in ("el", "log", "flush"):
                 assert event.detail["shard"] in (0, 1)
+
+    def test_counters_report_the_merged_settle_histogram(self):
+        config = SimulationConfig.ephemeral(
+            (18, 16), runtime=20.0, shards=2, obs=ObsConfig(metrics=True)
+        )
+        simulation = Simulation(config)
+        simulation.run()
+        merged = simulation.manager.counters_snapshot()["flush"]["settle_seconds"]
+        registry = simulation.obs.metrics.snapshot()
+        parts = [registry[f"s{i}.flush.settle_seconds"] for i in (0, 1)]
+        assert all(part["count"] > 0 for part in parts)
+        assert merged["count"] == parts[0]["count"] + parts[1]["count"]
+        assert merged["bucket_counts"] == [
+            a + b for a, b in zip(parts[0]["bucket_counts"], parts[1]["bucket_counts"])
+        ]
 
 
 class TestConfigAndValidation:

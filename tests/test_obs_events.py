@@ -1,22 +1,34 @@
-"""Tests for the structured event pipeline: schema, sinks, JSONL export."""
+"""Tests for the structured event pipeline: ring, schema, sinks, JSONL export."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import ObsConfig, Observability
 from repro.obs.events import (
     EVENT_SCHEMA,
+    NULL_TRACE,
+    EventSink,
     EventStream,
     JsonlSink,
-    RingSink,
+    TraceEvent,
     event_time_span,
     is_known_event,
     read_jsonl,
     register_event,
     summarise_events,
 )
-from repro.sim.trace import TraceEvent, TraceLog
+
+
+class ListSink(EventSink):
+    """Collects every event it is offered."""
+
+    def __init__(self):
+        self.events = []
+
+    def accept(self, event):
+        self.events.append(event)
 
 
 class TestSchema:
@@ -48,38 +60,119 @@ class TestSchema:
 
 
 class TestEventStream:
-    def test_is_a_drop_in_trace_log(self):
-        stream = EventStream()
-        assert isinstance(stream, TraceLog)
-        stream.emit(1.0, "el", "forward", {"lsn": 1})
-        assert len(stream.select(source="el", kind="forward")) == 1
+    def test_emit_and_iterate(self):
+        trace = EventStream()
+        trace.emit(1.0, "lm", "kill", {"tid": 3})
+        events = list(trace)
+        assert len(events) == 1
+        assert events[0].time == 1.0
+        assert events[0].detail == {"tid": 3}
+
+    def test_disabled_trace_records_nothing(self):
+        trace = EventStream(enabled=False)
+        trace.emit(1.0, "lm", "kill")
+        assert len(trace) == 0
+
+    def test_null_trace_is_disabled(self):
+        NULL_TRACE.emit(0.0, "x", "y")
+        assert not NULL_TRACE.enabled
+        assert len(NULL_TRACE) == 0
+
+    def test_select_by_source(self):
+        trace = EventStream()
+        trace.emit(1.0, "a", "k1")
+        trace.emit(2.0, "b", "k1")
+        assert len(trace.select(source="a")) == 1
+
+    def test_select_by_kind(self):
+        trace = EventStream()
+        trace.emit(1.0, "a", "k1")
+        trace.emit(2.0, "a", "k2")
+        assert [e.kind for e in trace.select(kind="k2")] == ["k2"]
+
+    def test_select_combined(self):
+        trace = EventStream()
+        trace.emit(1.0, "a", "k1")
+        trace.emit(2.0, "a", "k2")
+        trace.emit(3.0, "b", "k2")
+        assert len(trace.select(source="a", kind="k2")) == 1
+
+    def test_capacity_keeps_latest(self):
+        # A bounded stream is a keep-latest ring: the tail of the run survives.
+        trace = EventStream(capacity=2)
+        for i in range(5):
+            trace.emit(float(i), "s", "k")
+        assert len(trace) == 2
+        assert trace.dropped == 3
+        assert [e.time for e in trace] == [3.0, 4.0]
+
+    def test_capacity_property(self):
+        assert EventStream(capacity=7).capacity == 7
+        assert EventStream().capacity is None
+
+    def test_unbounded_log_never_drops(self):
+        trace = EventStream()
+        for i in range(1000):
+            trace.emit(float(i), "s", "k")
+        assert len(trace) == 1000
+        assert trace.dropped == 0
+        assert [e.time for e in trace][:2] == [0.0, 1.0]
+
+    def test_event_dict_round_trip(self):
+        event = TraceEvent(1.5, "el", "forward", {"lsn": 9})
+        assert TraceEvent.from_dict(event.to_dict()) == event
+
+    def test_clear(self):
+        trace = EventStream(capacity=1)
+        trace.emit(0.0, "s", "k")
+        trace.emit(1.0, "s", "k")
+        trace.clear()
+        assert len(trace) == 0
+        assert trace.dropped == 0
 
     def test_disabled_stream_feeds_no_sinks(self):
-        ring = RingSink(4)
-        stream = EventStream(enabled=False, sinks=[ring])
+        sink = ListSink()
+        stream = EventStream(enabled=False, sinks=[sink])
         stream.emit(0.0, "el", "kill")
         assert len(stream) == 0
-        assert len(ring) == 0
+        assert sink.events == []
 
     def test_events_fan_out_to_all_sinks(self):
-        a, b = RingSink(4), RingSink(4)
+        a, b = ListSink(), ListSink()
         stream = EventStream(sinks=[a])
         stream.add_sink(b)
         stream.emit(1.0, "el", "forward")
-        assert len(a) == 1 and len(b) == 1
+        assert len(a.events) == 1 and len(b.events) == 1
+
+    def test_ring_and_sinks_share_one_event(self):
+        sink = ListSink()
+        stream = EventStream(capacity=1, sinks=[sink])
+        stream.emit(1.0, "el", "forward", {"lsn": 1})
+        assert sink.events[0] is list(stream)[0]
 
 
-class TestRingSink:
-    def test_keeps_latest(self):
-        ring = RingSink(2)
-        for i in range(4):
-            ring.accept(TraceEvent(float(i), "s", "k", None))
-        assert [e.time for e in ring.events()] == [2.0, 3.0]
-        assert ring.dropped == 2
+class TestTraceCapacity:
+    def test_zero_capacity_stream_still_feeds_sinks(self):
+        # The ring keeps nothing, but every event still reaches the sinks.
+        sink = ListSink()
+        stream = EventStream(capacity=0, sinks=[sink])
+        stream.emit(1.0, "el", "forward")
+        stream.emit(2.0, "el", "kill")
+        assert len(stream) == 0
+        assert [e.time for e in sink.events] == [1.0, 2.0]
 
-    def test_rejects_silly_capacity(self):
-        with pytest.raises(ConfigurationError):
-            RingSink(0)
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_obs_config_rejects_capacity_below_one(self, capacity, tmp_path):
+        with pytest.raises(ConfigurationError, match="trace_capacity"):
+            ObsConfig(
+                trace=True,
+                trace_capacity=capacity,
+                jsonl_path=str(tmp_path / "t.jsonl"),
+            )
+
+    def test_obs_config_accepts_unbounded_and_positive_capacity(self):
+        assert Observability(ObsConfig(trace=True)).trace.capacity is None
+        assert Observability(ObsConfig(trace=True, trace_capacity=1)).trace.capacity == 1
 
 
 class TestJsonlSink:

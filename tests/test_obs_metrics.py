@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: counters, gauges, histograms, timers."""
+"""Tests for the metrics registry: counters, gauges, histograms."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_METRICS,
-    NULL_TIMER,
     Counter,
     Gauge,
     Histogram,
@@ -50,7 +49,7 @@ class TestHistogram:
         hist = Histogram("h", buckets=(1.0, 2.0))
         for value in (0.5, 1.0, 1.5, 5.0):
             hist.observe(value)
-        assert hist.bucket_counts == [2, 1, 1]  # <=1, <=2, overflow
+        assert hist.counts == [2, 1, 1]  # <=1, <=2, overflow
 
     def test_summary_stats(self):
         hist = Histogram("h", buckets=(10.0,))
@@ -73,23 +72,6 @@ class TestHistogram:
             Histogram("h", buckets=(1.0, 1.0))
 
 
-class TestTimer:
-    def test_observes_simulated_elapsed_time(self):
-        clock = [10.0]
-        registry = MetricsRegistry()
-        timer = registry.timer("t.seconds", clock=lambda: clock[0])
-        with timer:
-            clock[0] = 12.5
-        hist = registry.histogram("t.seconds")
-        assert hist.count == 1
-        assert hist.total == pytest.approx(2.5)
-
-    def test_null_timer_is_a_context_manager(self):
-        with NULL_TIMER:
-            pass
-        assert NULL_HISTOGRAM.count == 0
-
-
 class TestMetricsRegistry:
     def test_same_name_returns_same_instance(self):
         registry = MetricsRegistry()
@@ -106,7 +88,6 @@ class TestMetricsRegistry:
         assert registry.counter("a") is NULL_COUNTER
         assert registry.gauge("b") is NULL_GAUGE
         assert registry.histogram("c") is NULL_HISTOGRAM
-        assert registry.timer("d", clock=lambda: 0.0) is NULL_TIMER
         assert len(registry) == 0
 
     def test_null_metrics_mutators_are_noops(self):

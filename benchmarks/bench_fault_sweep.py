@@ -10,20 +10,17 @@ crash-consistency violation anywhere in the sweep fails the bench.
 
 from __future__ import annotations
 
-import json
 import time
 
-from repro.harness.faultsweep import DEFAULT_RATES, run_fault_sweep
+from repro.harness.faultsweep import DEFAULT_RATES, FAULT_SWEEP, run_fault_sweep
 
 
-def test_fault_sweep(publish, results_dir, scale, cache):
+def test_fault_sweep(publish, append_trajectory, scale, cache):
     started = time.perf_counter()
     result = run_fault_sweep(scale, seed=0, cache=cache)
     elapsed = time.perf_counter() - started
 
-    text = result.text()
-    publish("fault_sweep", text)
-    (results_dir / "fault_sweep.txt").write_text(text + "\n", encoding="utf-8")
+    publish("fault_sweep", result.render(**FAULT_SWEEP))
 
     entry = {
         "bench": "fault_sweep",
@@ -31,42 +28,33 @@ def test_fault_sweep(publish, results_dir, scale, cache):
         "runtime": result.runtime,
         "rates": list(DEFAULT_RATES),
         "wall_seconds": round(elapsed, 3),
-        "violations": result.violations,
+        "violations": result.header["violations"],
         "points": [
             {
-                "technique": p.technique,
-                "fault_rate": p.fault_rate,
-                "throughput_tps": round(p.throughput_tps, 3),
-                "mean_commit_latency_ms": round(p.mean_commit_latency * 1000, 3),
-                "write_retries": p.write_retries,
-                "blocks_retired": p.blocks_retired,
-                "records_healed": p.records_healed,
-                "deferred_acks": p.deferred_acks,
-                "flush_requeues": p.flush_requeues,
-                "crash_checks": p.crash_checks,
-                "violations": p.violations,
+                "technique": p["technique"],
+                "fault_rate": p["fault_rate"],
+                "throughput_tps": round(p["throughput_tps"], 3),
+                "mean_commit_latency_ms": round(p["mean_commit_latency"] * 1000, 3),
+                "write_retries": p["write_retries"],
+                "blocks_retired": p["blocks_retired"],
+                "records_healed": p["records_healed"],
+                "deferred_acks": p["deferred_acks"],
+                "flush_requeues": p["flush_requeues"],
+                "crash_checks": p["crash_checks"],
+                "violations": p["violations"],
             }
-            for p in result.points
+            for p in result.rows
         ],
     }
-    trajectory_path = results_dir / "BENCH_faults.json"
-    trajectory = []
-    if trajectory_path.is_file():
-        try:
-            trajectory = json.loads(trajectory_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            trajectory = []
-    trajectory.append(entry)
-    trajectory_path.write_text(
-        json.dumps(trajectory, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    append_trajectory("faults", entry)
 
-    assert result.ok, f"{result.violations} crash-consistency violation(s)"
-    baseline = {p.technique: p for p in result.points if p.fault_rate == 0.0}
-    for point in result.points:
+    violations = result.header["violations"]
+    assert violations == 0, f"{violations} crash-consistency violation(s)"
+    baseline = {p["technique"]: p for p in result.select(fault_rate=0.0)}
+    for point in result.rows:
         # Self-healing must keep the log alive: no run may collapse.
-        base = baseline[point.technique]
-        assert point.committed > 0.5 * base.committed, (
-            f"{point.technique} at rate {point.fault_rate} collapsed: "
-            f"{point.committed} vs baseline {base.committed}"
+        base = baseline[point["technique"]]
+        assert point["committed"] > 0.5 * base["committed"], (
+            f"{point['technique']} at rate {point['fault_rate']} collapsed: "
+            f"{point['committed']} vs baseline {base['committed']}"
         )

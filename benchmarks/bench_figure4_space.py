@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.config import SimulationConfig
-from repro.harness.experiments import run_figures_4_5_6
+from repro.harness.experiments import FIGURE_4, run_figures_4_5_6
 from repro.harness.simulator import run_simulation
 
 
@@ -20,25 +20,25 @@ def fig456(scale, cache):
 
 
 def test_figure4_disk_space(benchmark, fig456, scale, publish):
-    base = min(fig456.points, key=lambda p: p.long_fraction)
+    base = min(fig456.rows, key=lambda p: p["long_fraction"])
     config = SimulationConfig.ephemeral(
-        (base.el_gen0, base.el_gen1),
+        (base["el_gen0"], base["el_gen1"]),
         recirculation=False,
-        long_fraction=base.long_fraction,
+        long_fraction=base["long_fraction"],
         runtime=scale.runtime,
     )
     result = benchmark.pedantic(run_simulation, args=(config,), rounds=2, iterations=1)
     assert result.no_kills
 
-    publish("figure4_space", fig456.figure4_text())
+    publish("figure4_space", fig456.render(**FIGURE_4))
 
     # Shape assertions from the paper.
-    for point in fig456.points:
-        assert point.el_blocks < point.fw_blocks, (
-            f"EL must need less space than FW at mix {point.long_fraction:.0%}"
+    for point in fig456.rows:
+        assert point["el_blocks"] < point["fw_blocks"], (
+            f"EL must need less space than FW at mix {point['long_fraction']:.0%}"
         )
     # "It reduces disk space by a factor of 3.6" at the 5% mix; allow a
     # generous band since simulated spans differ from the paper's 500s.
-    assert 2.0 <= base.space_ratio <= 6.0
+    assert 2.0 <= base["space_ratio"] <= 6.0
     # "EL's relative advantage over FW diminishes" with more long txs.
-    assert fig456.points[0].space_ratio > fig456.points[-1].space_ratio
+    assert fig456.rows[0]["space_ratio"] > fig456.rows[-1]["space_ratio"]

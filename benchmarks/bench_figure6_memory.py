@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.config import SimulationConfig
-from repro.harness.experiments import run_figures_4_5_6
+from repro.harness.experiments import FIGURE_6, run_figures_4_5_6
 from repro.harness.simulator import run_simulation
 
 
@@ -20,29 +20,29 @@ def fig456(scale, cache):
 
 
 def test_figure6_memory(benchmark, fig456, scale, publish):
-    top = max(fig456.points, key=lambda p: p.long_fraction)
+    top = max(fig456.rows, key=lambda p: p["long_fraction"])
     config = SimulationConfig.ephemeral(
-        (top.el_gen0, top.el_gen1),
+        (top["el_gen0"], top["el_gen1"]),
         recirculation=False,
-        long_fraction=top.long_fraction,
+        long_fraction=top["long_fraction"],
         runtime=scale.runtime,
     )
     result = benchmark.pedantic(run_simulation, args=(config,), rounds=2, iterations=1)
     assert result.memory_peak_bytes > 0
 
-    publish("figure6_memory", fig456.figure6_text())
+    publish("figure6_memory", fig456.render(**FIGURE_6))
 
-    for point in fig456.points:
+    for point in fig456.rows:
         # EL keeps more state in RAM than FW at every mix...
-        assert point.el_memory_peak_bytes > point.fw_memory_peak_bytes
+        assert point["el_memory_peak_bytes"] > point["fw_memory_peak_bytes"]
         # ... but "memory requirements are modest": tens of KB, not MB.
-        assert point.el_memory_peak_bytes < 200_000
+        assert point["el_memory_peak_bytes"] < 200_000
     # Memory grows with the fraction of long transactions for both.
     assert (
-        fig456.points[-1].fw_memory_peak_bytes
-        > fig456.points[0].fw_memory_peak_bytes
+        fig456.rows[-1]["fw_memory_peak_bytes"]
+        > fig456.rows[0]["fw_memory_peak_bytes"]
     )
     assert (
-        fig456.points[-1].el_memory_peak_bytes
-        > fig456.points[0].el_memory_peak_bytes
+        fig456.rows[-1]["el_memory_peak_bytes"]
+        > fig456.rows[0]["el_memory_peak_bytes"]
     )

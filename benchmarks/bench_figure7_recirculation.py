@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.config import SimulationConfig
-from repro.harness.experiments import run_figure_7
+from repro.harness.experiments import FIGURE_7, run_figure_7
 from repro.harness.simulator import run_simulation
 
 
@@ -22,9 +22,10 @@ def fig7(scale, cache):
 
 
 def test_figure7_bandwidth_vs_space(benchmark, fig7, scale, publish):
-    best = min(fig7.feasible_points, key=lambda p: p.total_blocks)
+    feasible = fig7.select(kills=0)
+    best = min(feasible, key=lambda p: p["total_blocks"])
     config = SimulationConfig.ephemeral(
-        (fig7.gen0_blocks, best.gen1_blocks),
+        (fig7.header["gen0_blocks"], best["gen1_blocks"]),
         recirculation=True,
         long_fraction=0.05,
         runtime=scale.runtime,
@@ -33,18 +34,17 @@ def test_figure7_bandwidth_vs_space(benchmark, fig7, scale, publish):
     assert result.no_kills
     assert result.recirculated_records > 0
 
-    publish("figure7_recirculation", fig7.figure7_text())
+    publish("figure7_recirculation", fig7.render(**FIGURE_7))
 
-    feasible = fig7.feasible_points
     assert len(feasible) >= 2
-    largest = max(feasible, key=lambda p: p.total_blocks)
-    smallest = min(feasible, key=lambda p: p.total_blocks)
+    largest = max(feasible, key=lambda p: p["total_blocks"])
+    smallest = min(feasible, key=lambda p: p["total_blocks"])
     # Recirculation trades space for bandwidth: shrinking the last
     # generation increases its write rate.
-    assert smallest.last_generation_wps >= largest.last_generation_wps
-    assert smallest.total_wps >= largest.total_wps
+    assert smallest["last_generation_wps"] >= largest["last_generation_wps"]
+    assert smallest["total_wps"] >= largest["total_wps"]
     # The recirculating minimum beats the no-recirculation total (34-ish).
-    assert smallest.total_blocks < largest.total_blocks
+    assert smallest["total_blocks"] < largest["total_blocks"]
     # EL stays far below FW's space at a modest bandwidth premium.
-    assert smallest.total_blocks * 3 < fig7.fw_blocks
-    assert smallest.total_wps < fig7.fw_bandwidth_wps * 1.35
+    assert smallest["total_blocks"] * 3 < fig7.header["fw_blocks"]
+    assert smallest["total_wps"] < fig7.header["fw_bandwidth_wps"] * 1.35

@@ -20,7 +20,6 @@ Three measurements:
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import re
 import signal
@@ -171,7 +170,7 @@ def _sigkill_run(log_dir) -> dict:
     }
 
 
-def test_live_service(publish, results_dir, tmp_path):
+def test_live_service(publish, append_trajectory, tmp_path):
     started = time.perf_counter()
     points = [_measure(tmp_path, "el"), _measure(tmp_path, "fw")]
     sigkill = _sigkill_run(tmp_path / "sigkill")
@@ -200,7 +199,6 @@ def test_live_service(publish, results_dir, tmp_path):
     ]
     text = "\n".join(lines)
     publish("live_service", text)
-    (results_dir / "live_service.txt").write_text(text + "\n", encoding="utf-8")
 
     entry = {
         "bench": "live_service",
@@ -208,17 +206,7 @@ def test_live_service(publish, results_dir, tmp_path):
         "points": points,
         "sigkill": sigkill,
     }
-    trajectory_path = results_dir / "BENCH_live.json"
-    trajectory = []
-    if trajectory_path.is_file():
-        try:
-            trajectory = json.loads(trajectory_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            trajectory = []
-    trajectory.append(entry)
-    trajectory_path.write_text(
-        json.dumps(trajectory, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    append_trajectory("live", entry)
 
     el = points[0]
     assert el["tps"] >= 200.0, (

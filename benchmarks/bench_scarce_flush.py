@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.config import SimulationConfig
-from repro.harness.experiments import run_scarce_flush
+from repro.harness.experiments import SCARCE_FLUSH, run_scarce_flush
 from repro.harness.simulator import run_simulation
 
 
@@ -21,8 +21,9 @@ def scarce(scale, cache):
 
 
 def test_scarce_flush_bandwidth(benchmark, scarce, scale, publish):
+    (row,) = scarce.rows
     config = SimulationConfig.ephemeral(
-        (scarce.gen0_blocks, scarce.gen1_blocks),
+        (row["gen0_blocks"], row["gen1_blocks"]),
         recirculation=True,
         long_fraction=0.05,
         runtime=scale.runtime,
@@ -31,12 +32,12 @@ def test_scarce_flush_bandwidth(benchmark, scarce, scale, publish):
     result = benchmark.pedantic(run_simulation, args=(config,), rounds=2, iterations=1)
     assert result.no_kills
 
-    publish("scarce_flush", scarce.text())
+    publish("scarce_flush", scarce.render(**SCARCE_FLUSH))
 
     # Space stays small even when flushing can barely keep up.
-    assert scarce.total_blocks < 60
+    assert row["total_blocks"] < 60
     # "a significant increase in locality": flushing turns more sequential.
-    assert scarce.locality_gain > 1.3
+    assert row["locality_gain"] > 1.3
     # "This negative feedback provides some stability": the run completes
     # without kills and with a bounded backlog.
     assert result.flush_peak_backlog > 0

@@ -50,7 +50,7 @@ def _timed_sweep(directory: Path, jobs: int):
     return result, time.perf_counter() - started, cache
 
 
-def test_sweep_parallel_speedup(publish, results_dir, tmp_path):
+def test_sweep_parallel_speedup(publish, append_trajectory, tmp_path):
     serial_result, serial_seconds, _ = _timed_sweep(tmp_path / "serial", 1)
     parallel_result, parallel_seconds, parallel_cache = _timed_sweep(
         tmp_path / "parallel", JOBS
@@ -59,7 +59,7 @@ def test_sweep_parallel_speedup(publish, results_dir, tmp_path):
     # Drop the figure-level document first so the rerun actually re-walks
     # the searches (hitting the per-run entries) instead of short-circuiting.
     warm_cache = SweepCache(tmp_path / "parallel")
-    figure_doc = warm_cache._path(f"fig456-{BENCH_SCALE.label}-seed0")
+    figure_doc = warm_cache._path(f"figures456-{BENCH_SCALE.label}-seed0")
     assert figure_doc.is_file()
     figure_doc.unlink()
     started = time.perf_counter()
@@ -91,17 +91,7 @@ def test_sweep_parallel_speedup(publish, results_dir, tmp_path):
         "cache_hits": parallel_cache.hits,
         "byte_identical": serial_doc == parallel_doc,
     }
-    trajectory_path = results_dir / "BENCH_sweep.json"
-    trajectory = []
-    if trajectory_path.is_file():
-        try:
-            trajectory = json.loads(trajectory_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            trajectory = []
-    trajectory.append(entry)
-    trajectory_path.write_text(
-        json.dumps(trajectory, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    append_trajectory("sweep", entry)
 
     publish(
         "bench_sweep_parallel",

@@ -12,6 +12,7 @@ exactly as the figures share runs in the paper.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -70,3 +71,27 @@ def publish(results_dir, scale, request):
         )
 
     return _publish
+
+
+@pytest.fixture(scope="session")
+def append_trajectory(results_dir):
+    """Append one machine-readable entry to ``results/BENCH_<name>.json``.
+
+    The file holds a JSON list, one entry per bench run; an unreadable
+    file starts a fresh list.
+    """
+
+    def _append(name: str, entry: dict) -> None:
+        path = results_dir / f"BENCH_{name}.json"
+        trajectory = []
+        if path.is_file():
+            try:
+                trajectory = json.loads(path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError:
+                trajectory = []
+        trajectory.append(entry)
+        path.write_text(
+            json.dumps(trajectory, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+    return _append

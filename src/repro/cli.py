@@ -22,6 +22,12 @@ from typing import List, Optional
 
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.experiments import (
+    FIGURE_4,
+    FIGURE_5,
+    FIGURE_6,
+    FIGURE_7,
+    HEADLINE,
+    SCARCE_FLUSH,
     headline_claims,
     run_figure_7,
     run_figures_4_5_6,
@@ -226,37 +232,30 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Each ``repro figure`` choice: the driver that computes it and the
+#: :meth:`~repro.harness.sweep.SweepTable.render` arguments that print it.
+FIGURES = {
+    "4": (run_figures_4_5_6, FIGURE_4),
+    "5": (run_figures_4_5_6, FIGURE_5),
+    "6": (run_figures_4_5_6, FIGURE_6),
+    "7": (run_figure_7, FIGURE_7),
+    "scarce": (run_scarce_flush, SCARCE_FLUSH),
+    "headline": (headline_claims, HEADLINE),
+}
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     scale = Scale.from_env()
-    cache = SweepCache(enabled=not args.no_cache)
-    manifest_dir = args.manifest_dir
-    jobs = args.jobs
-    which = args.which
-    if which in ("4", "5", "6"):
-        result = run_figures_4_5_6(
-            scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
-        )
-        text = {
-            "4": result.figure4_text,
-            "5": result.figure5_text,
-            "6": result.figure6_text,
-        }[which]()
-    elif which == "7":
-        text = run_figure_7(
-            scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
-        ).figure7_text()
-    elif which == "scarce":
-        text = run_scarce_flush(
-            scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
-        ).text()
-    elif which == "headline":
-        text = headline_claims(
-            scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
-        ).text()
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(which)
+    driver, view = FIGURES[args.which]
+    table = driver(
+        scale,
+        seed=args.seed,
+        cache=SweepCache(enabled=not args.no_cache),
+        manifest_dir=args.manifest_dir,
+        jobs=args.jobs,
+    )
     print(f"[scale: {scale.label}]")
-    print(text)
+    print(table.render(**view))
     return 0
 
 
@@ -371,27 +370,27 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0 if verdict.ok else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injected run with crash-consistency verification."""
-    config = _base_config(args)
+def _chaos_plan(args: argparse.Namespace) -> FaultPlan:
+    """The proportional fault plan at ``--rate``, with ``--crashes``
+    crashes spaced evenly over the run and ``--max-retries``."""
     crash_times = tuple(
-        config.runtime * (index + 1) / (args.crashes + 1)
+        args.runtime * (index + 1) / (args.crashes + 1)
         for index in range(args.crashes)
     )
-    plan = FaultPlan(
-        transient_write_rate=args.rate,
-        torn_write_rate=args.rate / 2.0,
-        latent_error_rate=args.rate / 10.0,
-        flush_fault_rate=args.rate,
-        crash_times=crash_times,
-        max_retries=args.max_retries,
+    return FaultPlan.proportional(
+        args.rate, crash_times=crash_times, max_retries=args.max_retries
     )
-    report = run_crash_consistency(config.replace(faults=plan))
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """Fault-injected run with crash-consistency verification."""
+    plan = _chaos_plan(args)
+    report = run_crash_consistency(_base_config(args).replace(faults=plan))
     result = report.result
     assert result is not None
     print(f"technique            : {report.technique} (seed {report.seed})")
     print(f"fault rate           : {args.rate:g} "
-          f"(torn {args.rate/2:g}, latent {args.rate/10:g})")
+          f"(torn {plan.torn_write_rate:g}, latent {plan.latent_error_rate:g})")
     for check in report.checks:
         verdict = "OK" if check.report.ok else (
             f"{len(check.report.lost_updates)} lost, "
@@ -585,9 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.set_defaults(func=_cmd_search)
 
     figure_parser = sub.add_parser("figure", help="reproduce a paper artifact")
-    figure_parser.add_argument(
-        "which", choices=["4", "5", "6", "7", "scarce", "headline"]
-    )
+    figure_parser.add_argument("which", choices=list(FIGURES))
     figure_parser.add_argument("--seed", type=int, default=0)
     figure_parser.add_argument("--no-cache", action="store_true")
     figure_parser.add_argument(

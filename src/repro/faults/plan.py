@@ -149,6 +149,20 @@ class FaultPlan:
                     f"crash_times must be positive instants, got {when!r}"
                 )
 
+    @classmethod
+    def proportional(cls, rate: float, **options) -> "FaultPlan":
+        """One knob, proportional pressure everywhere: transient write and
+        flush faults at ``rate``, torn writes at ``rate/2`` and latent
+        sector errors at ``rate/10``.  ``options`` sets the other fields
+        (crash times, retry budget)."""
+        return cls(
+            transient_write_rate=rate,
+            torn_write_rate=rate / 2.0,
+            latent_error_rate=rate / 10.0,
+            flush_fault_rate=rate,
+            **options,
+        )
+
     # ------------------------------------------------------------------
     @property
     def any_enabled(self) -> bool:

@@ -11,192 +11,131 @@
 * :func:`headline_claims` — the abstract's space-ratio / bandwidth-increase
   claims, derived from the other results.
 
-Each driver returns a result object that can render its figure as a text
-table and serialise to JSON for :class:`~repro.harness.sweep.SweepCache`.
+Each driver returns a :class:`~repro.harness.sweep.SweepTable`; the
+``FIGURE_*``, ``SCARCE_FLUSH`` and ``HEADLINE`` mappings are the keyword
+arguments of :meth:`SweepTable.render` that print each artifact.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional
 
+from repro.errors import SearchError
 from repro.harness.config import SimulationConfig
 from repro.harness.parallel import ParallelRunner
 from repro.harness.scale import Scale
 from repro.harness.search import SpaceSearch
-from repro.harness.sweep import SweepCache
-from repro.metrics.report import format_series
-from repro.obs.manifest import (
-    RunManifest,
-    aggregate_worker_manifests,
-    default_manifest_path,
-    describe_code,
+from repro.harness.sweep import ManifestDir, SweepCache, SweepTable, run_sweep
+
+_MIX_COLUMN = ("10s-tx %", "long_fraction", "{:.0%}".format)
+
+FIGURE_4 = dict(
+    title="Figure 4: Disk Space Requirements vs. Tx Mix (blocks)",
+    x_column=_MIX_COLUMN,
+    columns=[
+        ("FW blocks", "fw_blocks"),
+        ("EL blocks", "el_blocks"),
+        ("EL gen0", "el_gen0"),
+        ("EL gen1", "el_gen1"),
+        ("FW/EL ratio", "space_ratio"),
+    ],
+)
+FIGURE_5 = dict(
+    title="Figure 5: Disk Bandwidth vs. Tx Mix (log block writes/s)",
+    x_column=_MIX_COLUMN,
+    columns=[
+        ("FW w/s", "fw_bandwidth_wps"),
+        ("EL w/s", "el_bandwidth_wps"),
+        ("increase %", "bandwidth_increase", lambda v: round(100 * v, 1)),
+    ],
+)
+FIGURE_6 = dict(
+    title="Figure 6: Memory Requirements vs. Tx Mix (bytes, peak)",
+    x_column=_MIX_COLUMN,
+    columns=[
+        ("FW bytes", "fw_memory_peak_bytes"),
+        ("EL bytes", "el_memory_peak_bytes"),
+    ],
+)
+FIGURE_7 = dict(
+    title=(
+        "Figure 7: EL Disk Bandwidth vs. Space "
+        "(recirculation on, gen0={gen0_blocks} blocks; "
+        "FW reference: {fw_blocks} blocks at {fw_bandwidth_wps:.2f} w/s)"
+    ),
+    x_column=("total blocks", "total_blocks"),
+    columns=[
+        ("gen1 blocks", "gen1_blocks"),
+        ("last-gen w/s", "last_generation_wps"),
+        ("total w/s", "total_wps"),
+        ("kills", "kills"),
+    ],
+)
+SCARCE_FLUSH = dict(
+    title="\n".join(
+        [
+            "Scarce flushing bandwidth (45 ms transfers, 10 drives -> 222 flush/s):",
+            "  minimum EL space     : {total_blocks} blocks "
+            "({gen0_blocks} + {gen1_blocks})   [paper: 31 = 20 + 11]",
+            "  log bandwidth        : {bandwidth_wps:.2f} writes/s   [paper: 13.96]",
+            "  mean oid seek (45ms) : {mean_seek_distance_scarce:,.0f}   "
+            "[paper: ~109,000]",
+            "  mean oid seek (25ms) : {mean_seek_distance_baseline:,.0f}   "
+            "[paper: ~235,000]",
+            "  flush backlog peak   : {flush_peak_backlog}",
+        ]
+    )
+)
+HEADLINE = dict(
+    title="\n".join(
+        [
+            "Headline claims (5% 10s-transaction mix):",
+            "  EL (no recirc): space ratio {no_recirc_space_ratio:.1f}x "
+            "[paper: 3.6x], bandwidth +{no_recirc_bandwidth_increase:.0%} "
+            "[paper: +11%]",
+            "  EL (recirc)   : space ratio {recirc_space_ratio:.1f}x "
+            "[paper: 4.4x], bandwidth +{recirc_bandwidth_increase:.0%} "
+            "[paper: +12%]",
+        ]
+    )
 )
 
-#: Accepted by every driver: where to drop the experiment's run manifest.
-ManifestDir = Optional[Union[str, Path]]
 
-
-def _publish_manifest(
-    name: str,
-    scale: Scale,
-    seed: int,
-    result,
-    manifest_dir: ManifestDir,
-    runner: Optional[ParallelRunner] = None,
-) -> None:
-    """Write a reproducibility manifest for one experiment driver's outcome.
-
-    The full result document rides in the manifest's ``counters`` block, so
-    two sweeps (different seeds, code revisions, scales) can be diffed as
-    JSON without re-running anything.  When the sweep executed through a
-    :class:`ParallelRunner`, its per-worker manifests are aggregated into a
-    ``parallel`` block so the manifest also attributes wall-clock cost.
-    """
-    if manifest_dir is None:
-        return
-    label = f"{name}-{scale.label}"
-    counters = result.to_dict() if hasattr(result, "to_dict") else asdict(result)
-    if runner is not None:
-        counters = dict(counters)
-        counters["parallel"] = {
-            "jobs": runner.jobs,
-            "runs_executed": runner.runs_executed,
-            "cache_hits": runner.cache_hits,
-            "timeouts": runner.timeouts,
-            "retries_used": runner.retries_used,
-            "workers": aggregate_worker_manifests(runner.worker_manifests),
-        }
-    manifest = RunManifest(
-        label=label,
-        seed=seed,
-        config={
-            "experiment": name,
-            "scale": scale.label,
-            "runtime": scale.runtime,
-        },
-        code=describe_code(),
-        counters=counters,
-    )
-    manifest.write(default_manifest_path(manifest_dir, label, seed))
+def _nearest_mix(fig456: SweepTable, long_fraction: float) -> dict:
+    return min(fig456.rows, key=lambda row: abs(row["long_fraction"] - long_fraction))
 
 
 # ======================================================================
 # Figures 4, 5, 6 — one sweep over the transaction mix
 # ======================================================================
-@dataclass
-class MixPoint:
-    """Minimum-space outcome for one transaction mix."""
-
-    long_fraction: float
-    updates_per_second: float
-    fw_blocks: int
-    fw_bandwidth_wps: float
-    fw_memory_peak_bytes: int
-    el_gen0: int
-    el_gen1: int
-    el_bandwidth_wps: float
-    el_memory_peak_bytes: int
-
-    @property
-    def el_blocks(self) -> int:
-        return self.el_gen0 + self.el_gen1
-
-    @property
-    def space_ratio(self) -> float:
-        """FW space / EL space (the paper's headline factor)."""
-        return self.fw_blocks / self.el_blocks if self.el_blocks else 0.0
-
-    @property
-    def bandwidth_increase(self) -> float:
-        """EL bandwidth relative to FW, as a fraction (e.g. 0.11 = +11 %)."""
-        if self.fw_bandwidth_wps == 0:
-            return 0.0
-        return self.el_bandwidth_wps / self.fw_bandwidth_wps - 1.0
+def mix_row(
+    long_fraction: float,
+    updates_per_second: float,
+    fw_blocks: int,
+    fw_bandwidth_wps: float,
+    fw_memory_peak_bytes: int,
+    el_gen0: int,
+    el_gen1: int,
+    el_bandwidth_wps: float,
+    el_memory_peak_bytes: int,
+) -> dict:
+    """One Figures 4-6 row: both minimum-space outcomes for one mix, plus
+    EL's total space, the FW/EL space ratio (the paper's headline factor)
+    and EL's bandwidth increase over FW as a fraction (0.11 = +11 %)."""
+    row = dict(locals())
+    el_blocks = el_gen0 + el_gen1
+    row["el_blocks"] = el_blocks
+    row["space_ratio"] = fw_blocks / el_blocks if el_blocks else 0.0
+    row["bandwidth_increase"] = (
+        el_bandwidth_wps / fw_bandwidth_wps - 1.0 if fw_bandwidth_wps else 0.0
+    )
+    return row
 
 
-@dataclass
-class Figures456Result:
-    """The shared sweep behind Figures 4, 5 and 6."""
-
-    scale_label: str
-    runtime: float
-    seed: int
-    points: List[MixPoint] = field(default_factory=list)
-
-    def figure4_text(self) -> str:
-        return format_series(
-            "Figure 4: Disk Space Requirements vs. Tx Mix (blocks)",
-            "10s-tx %",
-            ["FW blocks", "EL blocks", "EL gen0", "EL gen1", "FW/EL ratio"],
-            [
-                (
-                    f"{p.long_fraction:.0%}",
-                    p.fw_blocks,
-                    p.el_blocks,
-                    p.el_gen0,
-                    p.el_gen1,
-                    round(p.space_ratio, 2),
-                )
-                for p in self.points
-            ],
-        )
-
-    def figure5_text(self) -> str:
-        return format_series(
-            "Figure 5: Disk Bandwidth vs. Tx Mix (log block writes/s)",
-            "10s-tx %",
-            ["FW w/s", "EL w/s", "increase %"],
-            [
-                (
-                    f"{p.long_fraction:.0%}",
-                    round(p.fw_bandwidth_wps, 2),
-                    round(p.el_bandwidth_wps, 2),
-                    round(100 * p.bandwidth_increase, 1),
-                )
-                for p in self.points
-            ],
-        )
-
-    def figure6_text(self) -> str:
-        return format_series(
-            "Figure 6: Memory Requirements vs. Tx Mix (bytes, peak)",
-            "10s-tx %",
-            ["FW bytes", "EL bytes"],
-            [
-                (
-                    f"{p.long_fraction:.0%}",
-                    p.fw_memory_peak_bytes,
-                    p.el_memory_peak_bytes,
-                )
-                for p in self.points
-            ],
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "scale_label": self.scale_label,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Figures456Result":
-        points = [MixPoint(**p) for p in data["points"]]
-        return cls(
-            scale_label=data["scale_label"],
-            runtime=data["runtime"],
-            seed=data["seed"],
-            points=points,
-        )
-
-
-def _figures_456_point(
+def _figures_456_row(
     scale: Scale, seed: int, fraction: float, runner: ParallelRunner
-) -> MixPoint:
+) -> dict:
     """Both minimum-space searches for one transaction mix."""
     fw_template = SimulationConfig.firewall(
         log_blocks=64,  # replaced by the search
@@ -216,7 +155,7 @@ def _figures_456_point(
         scale.gen0_candidates, refine_radius=scale.gen0_refine_radius
     )
     mix = fw_template.workload_mix()
-    return MixPoint(
+    return mix_row(
         long_fraction=fraction,
         updates_per_second=(
             fw_template.arrival_rate * mix.mean_updates_per_transaction()
@@ -237,7 +176,7 @@ def run_figures_4_5_6(
     cache: Optional[SweepCache] = None,
     manifest_dir: ManifestDir = None,
     jobs: int = 1,
-) -> Figures456Result:
+) -> SweepTable:
     """Minimum-space sweep over the mix for both techniques (E1–E3).
 
     ``jobs`` > 1 runs the independent searches concurrently (one driver
@@ -245,114 +184,26 @@ def run_figures_4_5_6(
     and turns the searches speculative; the result is identical to a serial
     sweep — the same seeds produce the same runs — only faster.
     """
-    scale = scale or Scale.from_env()
-    cache = cache or SweepCache()
-    key = f"fig456-{scale.label}-seed{seed}"
-    cached = cache.get(key)
-    if cached is not None:
-        result = Figures456Result.from_dict(cached)
-        _publish_manifest("figures456", scale, seed, result, manifest_dir)
-        return result
 
-    result = Figures456Result(scale_label=scale.label, runtime=scale.runtime, seed=seed)
-    with ParallelRunner(jobs=jobs, cache=cache) as runner:
+    def compute(scale, cache, runner):
+        def row(fraction):
+            return _figures_456_row(scale, seed, fraction, runner)
+
         if runner.jobs > 1 and len(scale.mix_points) > 1:
             with ThreadPoolExecutor(
                 max_workers=min(len(scale.mix_points), runner.jobs)
             ) as pool:
-                points = list(
-                    pool.map(
-                        lambda fraction: _figures_456_point(
-                            scale, seed, fraction, runner
-                        ),
-                        scale.mix_points,
-                    )
-                )
-        else:
-            points = [
-                _figures_456_point(scale, seed, fraction, runner)
-                for fraction in scale.mix_points
-            ]
-    result.points.extend(points)
-    cache.put(key, result.to_dict())
-    _publish_manifest("figures456", scale, seed, result, manifest_dir, runner=runner)
-    return result
+                return {}, list(pool.map(row, scale.mix_points))
+        return {}, [row(fraction) for fraction in scale.mix_points]
+
+    return run_sweep(
+        "figures456", "", scale, seed, cache, manifest_dir, compute, jobs
+    )
 
 
 # ======================================================================
 # Figure 7 — recirculation: bandwidth vs space
 # ======================================================================
-@dataclass
-class Figure7Point:
-    gen1_blocks: int
-    total_blocks: int
-    kills: int
-    last_generation_wps: float
-    total_wps: float
-    recirculated_records: int
-
-
-@dataclass
-class Figure7Result:
-    scale_label: str
-    runtime: float
-    seed: int
-    gen0_blocks: int
-    fw_blocks: int
-    fw_bandwidth_wps: float
-    points: List[Figure7Point] = field(default_factory=list)
-
-    @property
-    def feasible_points(self) -> List[Figure7Point]:
-        return [p for p in self.points if p.kills == 0]
-
-    @property
-    def minimum_total_blocks(self) -> int:
-        feasible = self.feasible_points
-        return min(p.total_blocks for p in feasible) if feasible else 0
-
-    def figure7_text(self) -> str:
-        rows = [
-            (
-                p.total_blocks,
-                p.gen1_blocks,
-                round(p.last_generation_wps, 2),
-                round(p.total_wps, 2),
-                p.kills,
-            )
-            for p in sorted(self.points, key=lambda p: -p.total_blocks)
-        ]
-        header = (
-            f"Figure 7: EL Disk Bandwidth vs. Space "
-            f"(recirculation on, gen0={self.gen0_blocks} blocks; "
-            f"FW reference: {self.fw_blocks} blocks at "
-            f"{self.fw_bandwidth_wps:.2f} w/s)"
-        )
-        return format_series(
-            header,
-            "total blocks",
-            ["gen1 blocks", "last-gen w/s", "total w/s", "kills"],
-            rows,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "scale_label": self.scale_label,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "gen0_blocks": self.gen0_blocks,
-            "fw_blocks": self.fw_blocks,
-            "fw_bandwidth_wps": self.fw_bandwidth_wps,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Figure7Result":
-        points = [Figure7Point(**p) for p in data["points"]]
-        payload = {k: v for k, v in data.items() if k != "points"}
-        return cls(points=points, **payload)
-
-
 def run_figure_7(
     scale: Optional[Scale] = None,
     seed: int = 0,
@@ -362,53 +213,38 @@ def run_figure_7(
     gen1_start: Optional[int] = None,
     manifest_dir: ManifestDir = None,
     jobs: int = 1,
-) -> Figure7Result:
+) -> SweepTable:
     """Shrink the last generation with recirculation enabled (E4).
 
     ``gen0_blocks`` defaults to the no-recirculation optimum for the same
     mix ("the size of the first generation remained fixed at 18 blocks, for
     which the minimum space was obtained in the case of no recirculation"),
-    taken from the Figures 4–6 sweep.
+    taken from the Figures 4–6 sweep.  Rows run from the largest total
+    down; the header's ``minimum_total_blocks`` is the smallest total
+    without kills (0 when there is none).
     """
-    scale = scale or Scale.from_env()
-    cache = cache or SweepCache()
-    key = f"fig7-{scale.label}-seed{seed}-mix{long_fraction}"
+    key = f"-mix{long_fraction}"
     if gen0_blocks is not None or gen1_start is not None:
         key += f"-g0{gen0_blocks}-g1{gen1_start}"
-    cached = cache.get(key)
-    if cached is not None:
-        result = Figure7Result.from_dict(cached)
-        _publish_manifest("figure7", scale, seed, result, manifest_dir)
-        return result
 
-    fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
-    reference = min(
-        fig456.points, key=lambda p: abs(p.long_fraction - long_fraction)
-    )
-    gen0 = gen0_blocks if gen0_blocks is not None else reference.el_gen0
-    start_gen1 = gen1_start if gen1_start is not None else reference.el_gen1
+    def compute(scale, cache, runner):
+        fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
+        reference = _nearest_mix(fig456, long_fraction)
+        gen0 = gen0_blocks if gen0_blocks is not None else reference["el_gen0"]
+        start_gen1 = gen1_start if gen1_start is not None else reference["el_gen1"]
 
-    result = Figure7Result(
-        scale_label=scale.label,
-        runtime=scale.runtime,
-        seed=seed,
-        gen0_blocks=gen0,
-        fw_blocks=reference.fw_blocks,
-        fw_bandwidth_wps=reference.fw_bandwidth_wps,
-    )
+        def configure(gen1: int) -> SimulationConfig:
+            return SimulationConfig.ephemeral(
+                (gen0, gen1),
+                recirculation=True,
+                long_fraction=long_fraction,
+                runtime=scale.runtime,
+                seed=seed,
+            )
 
-    def configure(gen1: int) -> SimulationConfig:
-        return SimulationConfig.ephemeral(
-            (gen0, gen1),
-            recirculation=True,
-            long_fraction=long_fraction,
-            runtime=scale.runtime,
-            seed=seed,
-        )
-
-    floor = 3  # gap + 1
-    gen1_values = list(range(start_gen1, floor - 1, -1))
-    with ParallelRunner(jobs=jobs, cache=cache) as runner:
+        floor = 3  # gap + 1
+        gen1_values = list(range(start_gen1, floor - 1, -1))
+        rows = []
         for index, gen1 in enumerate(gen1_values):
             if runner.jobs > 1:
                 # Speculatively run the next few shrink steps as a batch;
@@ -418,73 +254,35 @@ def run_figure_7(
                     [configure(g) for g in gen1_values[index : index + runner.jobs]]
                 )
             run = runner.run_one(configure(gen1))
-            result.points.append(
-                Figure7Point(
-                    gen1_blocks=gen1,
-                    total_blocks=gen0 + gen1,
-                    kills=run.transactions_killed,
-                    last_generation_wps=run.last_generation_bandwidth_wps,
-                    total_wps=run.total_bandwidth_wps,
-                    recirculated_records=run.recirculated_records,
-                )
+            rows.append(
+                {
+                    "gen1_blocks": gen1,
+                    "total_blocks": gen0 + gen1,
+                    "kills": run.transactions_killed,
+                    "last_generation_wps": run.last_generation_bandwidth_wps,
+                    "total_wps": run.total_bandwidth_wps,
+                    "recirculated_records": run.recirculated_records,
+                }
             )
             if not run.no_kills:
                 break  # one infeasible point past the minimum, as in the paper
-    cache.put(key, result.to_dict())
-    _publish_manifest("figure7", scale, seed, result, manifest_dir, runner=runner)
-    return result
+        feasible = [row["total_blocks"] for row in rows if row["kills"] == 0]
+        header = {
+            "long_fraction": long_fraction,
+            "gen0_blocks": gen0,
+            "gen1_start": start_gen1,
+            "fw_blocks": reference["fw_blocks"],
+            "fw_bandwidth_wps": reference["fw_bandwidth_wps"],
+            "minimum_total_blocks": min(feasible, default=0),
+        }
+        return header, rows
+
+    return run_sweep("figure7", key, scale, seed, cache, manifest_dir, compute, jobs)
 
 
 # ======================================================================
 # §4 narrative — scarce flushing bandwidth
 # ======================================================================
-@dataclass
-class ScarceFlushResult:
-    scale_label: str
-    runtime: float
-    seed: int
-    long_fraction: float
-    #: Minimum-space EL configuration under 45 ms flush transfers.
-    gen0_blocks: int
-    gen1_blocks: int
-    bandwidth_wps: float
-    mean_seek_distance_scarce: float
-    flush_peak_backlog: int
-    recirculated_records: int
-    #: Locality at the plentiful 25 ms baseline (same mix, recirculation).
-    mean_seek_distance_baseline: float
-
-    @property
-    def total_blocks(self) -> int:
-        return self.gen0_blocks + self.gen1_blocks
-
-    @property
-    def locality_gain(self) -> float:
-        """Baseline / scarce mean seek distance (>1 = more sequential)."""
-        if self.mean_seek_distance_scarce == 0:
-            return 0.0
-        return self.mean_seek_distance_baseline / self.mean_seek_distance_scarce
-
-    def text(self) -> str:
-        lines = [
-            "Scarce flushing bandwidth (45 ms transfers, 10 drives -> 222 flush/s):",
-            f"  minimum EL space     : {self.total_blocks} blocks "
-            f"({self.gen0_blocks} + {self.gen1_blocks})   [paper: 31 = 20 + 11]",
-            f"  log bandwidth        : {self.bandwidth_wps:.2f} writes/s   [paper: 13.96]",
-            f"  mean oid seek (45ms) : {self.mean_seek_distance_scarce:,.0f}   [paper: ~109,000]",
-            f"  mean oid seek (25ms) : {self.mean_seek_distance_baseline:,.0f}   [paper: ~235,000]",
-            f"  flush backlog peak   : {self.flush_peak_backlog}",
-        ]
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScarceFlushResult":
-        return cls(**data)
-
-
 def run_scarce_flush(
     scale: Optional[Scale] = None,
     seed: int = 0,
@@ -492,39 +290,34 @@ def run_scarce_flush(
     long_fraction: float = 0.05,
     manifest_dir: ManifestDir = None,
     jobs: int = 1,
-) -> ScarceFlushResult:
-    """The 45 ms flush-transfer experiment (E5)."""
-    scale = scale or Scale.from_env()
-    cache = cache or SweepCache()
-    key = f"scarce3-{scale.label}-seed{seed}-mix{long_fraction}"
-    cached = cache.get(key)
-    if cached is not None:
-        result = ScarceFlushResult.from_dict(cached)
-        _publish_manifest("scarce-flush", scale, seed, result, manifest_dir)
-        return result
+) -> SweepTable:
+    """The 45 ms flush-transfer experiment (E5).
 
-    template = SimulationConfig.ephemeral(
-        (20, 11),
-        recirculation=True,
-        long_fraction=long_fraction,
-        runtime=scale.runtime,
-        seed=seed,
-        flush_write_seconds=0.045,
-    )
-    # The paper's operating point recirculates unflushed updates "until
-    # they are eventually flushed" and concludes "the extra disk space and
-    # bandwidth are not prohibitive".  Encode both halves: the log must
-    # survive without kills and without demand flushes (random database
-    # I/O), and its bandwidth must stay within 25% of the same mix's
-    # plentiful-flush EL bandwidth — otherwise the search walks into a
-    # degenerate tiny-log/huge-recirculation regime the paper never
-    # considers.
-    reference = min(
-        run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs).points,
-        key=lambda p: abs(p.long_fraction - long_fraction),
-    )
-    bandwidth_cap = reference.el_bandwidth_wps * 1.25
-    with ParallelRunner(jobs=jobs, cache=cache) as runner:
+    One row: the minimum-space EL configuration under 45 ms transfers, its
+    flush locality, and the locality at the plentiful 25 ms baseline (same
+    mix and sizes, recirculation on).  ``locality_gain`` is baseline /
+    scarce mean seek distance (> 1 = more sequential).
+    """
+
+    def compute(scale, cache, runner):
+        template = SimulationConfig.ephemeral(
+            (20, 11),
+            recirculation=True,
+            long_fraction=long_fraction,
+            runtime=scale.runtime,
+            seed=seed,
+            flush_write_seconds=0.045,
+        )
+        # The paper's operating point recirculates unflushed updates "until
+        # they are eventually flushed" and concludes "the extra disk space
+        # and bandwidth are not prohibitive".  Encode both halves: the log
+        # must survive without kills and without demand flushes (random
+        # database I/O), and its bandwidth must stay within 25% of the same
+        # mix's plentiful-flush EL bandwidth — otherwise the search walks
+        # into a degenerate tiny-log/huge-recirculation regime the paper
+        # never considers.
+        fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
+        bandwidth_cap = _nearest_mix(fig456, long_fraction)["el_bandwidth_wps"] * 1.25
         search = SpaceSearch(
             template,
             feasible_fn=lambda result: (
@@ -550,80 +343,74 @@ def run_scarce_flush(
                 flush_write_seconds=0.025,
             )
         )
-    result = ScarceFlushResult(
-        scale_label=scale.label,
-        runtime=scale.runtime,
-        seed=seed,
-        long_fraction=long_fraction,
-        gen0_blocks=outcome.sizes[0],
-        gen1_blocks=outcome.sizes[1],
-        bandwidth_wps=outcome.result.total_bandwidth_wps,
-        mean_seek_distance_scarce=outcome.result.flush_mean_seek_distance,
-        flush_peak_backlog=outcome.result.flush_peak_backlog,
-        recirculated_records=outcome.result.recirculated_records,
-        mean_seek_distance_baseline=baseline.flush_mean_seek_distance,
+        scarce_seek = outcome.result.flush_mean_seek_distance
+        baseline_seek = baseline.flush_mean_seek_distance
+        row = {
+            "long_fraction": long_fraction,
+            "gen0_blocks": outcome.sizes[0],
+            "gen1_blocks": outcome.sizes[1],
+            "total_blocks": outcome.sizes[0] + outcome.sizes[1],
+            "bandwidth_wps": outcome.result.total_bandwidth_wps,
+            "mean_seek_distance_scarce": scarce_seek,
+            "flush_peak_backlog": outcome.result.flush_peak_backlog,
+            "recirculated_records": outcome.result.recirculated_records,
+            "mean_seek_distance_baseline": baseline_seek,
+            "locality_gain": baseline_seek / scarce_seek if scarce_seek else 0.0,
+        }
+        return {}, [row]
+
+    return run_sweep(
+        "scarce-flush",
+        f"-mix{long_fraction}",
+        scale,
+        seed,
+        cache,
+        manifest_dir,
+        compute,
+        jobs,
     )
-    cache.put(key, result.to_dict())
-    _publish_manifest("scarce-flush", scale, seed, result, manifest_dir, runner=runner)
-    return result
 
 
 # ======================================================================
 # Headline claims (abstract / §4)
 # ======================================================================
-@dataclass
-class HeadlineClaims:
-    """The paper's summary numbers, recomputed from our sweeps."""
-
-    #: "It reduces disk space by a factor of 3.6 with only an 11% increase
-    #: in bandwidth" (5 % mix, no recirculation).
-    no_recirc_space_ratio: float
-    no_recirc_bandwidth_increase: float
-    #: "a factor of 4.4 reduction in disk space and a 12% increase in
-    #: bandwidth" (5 % mix, recirculation).
-    recirc_space_ratio: float
-    recirc_bandwidth_increase: float
-
-    def text(self) -> str:
-        return "\n".join(
-            [
-                "Headline claims (5% 10s-transaction mix):",
-                f"  EL (no recirc): space ratio {self.no_recirc_space_ratio:.1f}x "
-                f"[paper: 3.6x], bandwidth +{100*self.no_recirc_bandwidth_increase:.0f}% "
-                f"[paper: +11%]",
-                f"  EL (recirc)   : space ratio {self.recirc_space_ratio:.1f}x "
-                f"[paper: 4.4x], bandwidth +{100*self.recirc_bandwidth_increase:.0f}% "
-                f"[paper: +12%]",
-            ]
-        )
-
-
 def headline_claims(
     scale: Optional[Scale] = None,
     seed: int = 0,
     cache: Optional[SweepCache] = None,
     manifest_dir: ManifestDir = None,
     jobs: int = 1,
-) -> HeadlineClaims:
-    """Recompute the abstract's claims from the figure sweeps (E6)."""
-    scale = scale or Scale.from_env()
-    cache = cache or SweepCache()
-    fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
-    fig7 = run_figure_7(scale, seed=seed, cache=cache, jobs=jobs)
-    base = min(fig456.points, key=lambda p: p.long_fraction)
-    feasible = fig7.feasible_points
-    best = min(feasible, key=lambda p: p.total_blocks)
-    claims = HeadlineClaims(
-        no_recirc_space_ratio=base.space_ratio,
-        no_recirc_bandwidth_increase=base.bandwidth_increase,
-        recirc_space_ratio=(
-            fig7.fw_blocks / best.total_blocks if best.total_blocks else 0.0
-        ),
-        recirc_bandwidth_increase=(
-            best.total_wps / fig7.fw_bandwidth_wps - 1.0
-            if fig7.fw_bandwidth_wps
-            else 0.0
-        ),
-    )
-    _publish_manifest("headline", scale, seed, claims, manifest_dir)
-    return claims
+) -> SweepTable:
+    """Recompute the abstract's claims from the figure sweeps (E6).
+
+    One row at the 5 % mix: "It reduces disk space by a factor of 3.6 with
+    only an 11% increase in bandwidth" (``no_recirc_*``, Figures 4-5) and
+    "a factor of 4.4 reduction in disk space and a 12% increase in
+    bandwidth" (``recirc_*``, Figure 7's smallest total without kills).
+    """
+
+    def compute(scale, cache, runner):
+        fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
+        fig7 = run_figure_7(scale, seed=seed, cache=cache, jobs=jobs)
+        base = min(fig456.rows, key=lambda row: row["long_fraction"])
+        feasible = fig7.select(kills=0)
+        if not feasible:
+            raise SearchError(
+                "Figure 7 has no point without kills: its start sizes "
+                f"(gen0={fig7.header['gen0_blocks']}, "
+                f"gen1={fig7.header['gen1_start']}) already kill "
+                "transactions; start it from larger sizes"
+            )
+        best = min(feasible, key=lambda row: row["total_blocks"])
+        fw_wps = fig7.header["fw_bandwidth_wps"]
+        row = {
+            "no_recirc_space_ratio": base["space_ratio"],
+            "no_recirc_bandwidth_increase": base["bandwidth_increase"],
+            "recirc_space_ratio": fig7.header["fw_blocks"] / best["total_blocks"],
+            "recirc_bandwidth_increase": (
+                best["total_wps"] / fw_wps - 1.0 if fw_wps else 0.0
+            ),
+        }
+        return {}, [row]
+
+    return run_sweep("headline", "", scale, seed, cache, manifest_dir, compute, jobs)

@@ -13,22 +13,20 @@ consistency at each, so a sweep doubles as the chaos acceptance test:
   flushes) at each rate,
 * the number of crash-consistency violations, which must be zero.
 
-A rate ``r`` drives the whole plan: transient write faults at ``r``,
-torn writes at ``r/2``, latent sector errors at ``r/10`` and flush
-faults at ``r`` — one knob, proportional pressure everywhere.
+A rate ``r`` drives the whole plan through
+:meth:`~repro.faults.plan.FaultPlan.proportional` — one knob,
+proportional pressure everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.faults.crash import run_crash_consistency
 from repro.faults.plan import FaultPlan
-from repro.harness.config import SimulationConfig
 from repro.harness.scale import Scale
 from repro.harness.simulator import run_simulation
-from repro.harness.sweep import SweepCache
+from repro.harness.sweep import SweepCache, SweepTable, reference_config, run_sweep
 
 #: Fault rates swept by default; 0.0 is the perfect-hardware baseline.
 DEFAULT_RATES: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.10, 0.20)
@@ -36,114 +34,46 @@ DEFAULT_RATES: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.10, 0.20)
 #: Techniques the sweep covers (the hybrid manager has no fault support).
 DEFAULT_TECHNIQUES: Tuple[str, ...] = ("el", "fw")
 
+#: Fault-injection counters copied into every row (0 on perfect hardware).
+FAULT_COUNTERS: Tuple[str, ...] = (
+    "write_faults",
+    "write_retries",
+    "failed_writes",
+    "latent_faults",
+    "blocks_retired",
+    "records_healed",
+    "records_stabilised",
+    "deferred_acks",
+    "flush_requeues",
+)
+
+FAULT_SWEEP = dict(
+    title=(
+        "E-fault: throughput and healing vs disk-fault rate "
+        "({runtime:g}s, seed {seed})\ncrash consistency: {verdict}"
+    ),
+    x_column=("tech", "technique"),
+    columns=[
+        ("rate", "fault_rate"),
+        ("tps", "throughput_tps", "{:.1f}".format),
+        ("lat ms", "mean_commit_latency", lambda v: f"{v * 1000:.1f}"),
+        ("retry", "write_retries"),
+        ("remap", "blocks_retired"),
+        ("heal", "records_healed"),
+        ("defer", "deferred_acks"),
+        ("viol", "violations"),
+    ],
+)
+
 
 def fault_plan_for_rate(rate: float, runtime: float) -> Optional[FaultPlan]:
-    """The proportional fault plan for one sweep point (``None`` at 0)."""
+    """The proportional fault plan for one sweep point (``None`` at 0),
+    crashing at 30 %, 60 % and 90 % of the run."""
     if rate <= 0.0:
         return None
-    return FaultPlan(
-        transient_write_rate=rate,
-        torn_write_rate=rate / 2.0,
-        latent_error_rate=rate / 10.0,
-        flush_fault_rate=rate,
-        crash_times=(0.3 * runtime, 0.6 * runtime, 0.9 * runtime),
+    return FaultPlan.proportional(
+        rate, crash_times=(0.3 * runtime, 0.6 * runtime, 0.9 * runtime)
     )
-
-
-@dataclass
-class FaultPoint:
-    """One technique at one fault rate."""
-
-    technique: str
-    fault_rate: float
-    committed: int
-    killed: int
-    unfinished: int
-    throughput_tps: float
-    mean_commit_latency: float
-    max_commit_latency: float
-    write_faults: int = 0
-    write_retries: int = 0
-    failed_writes: int = 0
-    latent_faults: int = 0
-    blocks_retired: int = 0
-    records_healed: int = 0
-    records_stabilised: int = 0
-    deferred_acks: int = 0
-    flush_requeues: int = 0
-    crash_checks: int = 0
-    violations: int = 0
-
-
-@dataclass
-class FaultSweepResult:
-    """The full E-fault sweep, serialisable for caching and benches."""
-
-    scale_label: str
-    runtime: float
-    seed: int
-    rates: List[float] = field(default_factory=list)
-    points: List[FaultPoint] = field(default_factory=list)
-
-    @property
-    def violations(self) -> int:
-        return sum(point.violations for point in self.points)
-
-    @property
-    def ok(self) -> bool:
-        """Zero crash-consistency violations over the whole sweep."""
-        return self.violations == 0
-
-    def points_for(self, technique: str) -> List[FaultPoint]:
-        return [p for p in self.points if p.technique == technique]
-
-    def text(self) -> str:
-        lines = [
-            "E-fault: throughput and healing vs disk-fault rate "
-            f"({self.runtime:g}s, seed {self.seed})",
-            f"{'tech':<5} {'rate':>5} {'tps':>7} {'lat ms':>7} "
-            f"{'retry':>5} {'remap':>5} {'heal':>5} {'defer':>5} {'viol':>4}",
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.technique:<5} {p.fault_rate:>5.2f} "
-                f"{p.throughput_tps:>7.1f} {p.mean_commit_latency*1000:>7.1f} "
-                f"{p.write_retries:>5} {p.blocks_retired:>5} "
-                f"{p.records_healed:>5} {p.deferred_acks:>5} {p.violations:>4}"
-            )
-        lines.append(
-            "crash consistency: "
-            + ("OK" if self.ok else f"{self.violations} VIOLATIONS")
-        )
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "scale_label": self.scale_label,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "rates": list(self.rates),
-            "violations": self.violations,
-            "points": [dict(p.__dict__) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSweepResult":
-        result = cls(
-            scale_label=data["scale_label"],
-            runtime=data["runtime"],
-            seed=data["seed"],
-            rates=list(data["rates"]),
-        )
-        result.points = [FaultPoint(**p) for p in data["points"]]
-        return result
-
-
-def _base_config(technique: str, runtime: float, seed: int) -> SimulationConfig:
-    if technique == "fw":
-        # Same total budget as the EL reference so the curves compare.
-        return SimulationConfig.firewall(34, runtime=runtime, seed=seed)
-    return SimulationConfig.ephemeral((18, 16), runtime=runtime, seed=seed)
 
 
 def run_fault_sweep(
@@ -152,60 +82,51 @@ def run_fault_sweep(
     cache: Optional[SweepCache] = None,
     rates: Tuple[float, ...] = DEFAULT_RATES,
     techniques: Tuple[str, ...] = DEFAULT_TECHNIQUES,
-) -> FaultSweepResult:
-    """Sweep fault rate for each technique; verify crashes along the way."""
-    scale = scale or Scale.from_env()
-    cache = cache or SweepCache()
-    key = (
-        f"efault-{scale.label}-seed{seed}"
-        f"-r{','.join(f'{r:g}' for r in rates)}-t{','.join(techniques)}"
-    )
-    cached = cache.get(key)
-    if cached is not None:
-        return FaultSweepResult.from_dict(cached)
+) -> SweepTable:
+    """Sweep fault rate for each technique; verify crashes along the way.
 
-    result = FaultSweepResult(
-        scale_label=scale.label,
-        runtime=scale.runtime,
-        seed=seed,
-        rates=list(rates),
-    )
-    for technique in techniques:
-        for rate in rates:
-            config = _base_config(technique, scale.runtime, seed)
-            plan = fault_plan_for_rate(rate, scale.runtime)
-            if plan is None:
-                run = run_simulation(config)
-                checks = 0
-                violations = 0
-            else:
-                chaos = run_crash_consistency(config.replace(faults=plan))
-                run = chaos.result
-                checks = len(chaos.checks)
-                violations = chaos.violations
-            faults = run.faults or {}
-            result.points.append(
-                FaultPoint(
-                    technique=technique,
-                    fault_rate=rate,
-                    committed=run.transactions_committed,
-                    killed=run.transactions_killed,
-                    unfinished=run.transactions_unfinished,
-                    throughput_tps=run.transactions_committed / run.runtime,
-                    mean_commit_latency=run.mean_commit_latency,
-                    max_commit_latency=run.max_commit_latency,
-                    write_faults=faults.get("write_faults", 0),
-                    write_retries=faults.get("write_retries", 0),
-                    failed_writes=faults.get("failed_writes", 0),
-                    latent_faults=faults.get("latent_faults", 0),
-                    blocks_retired=faults.get("blocks_retired", 0),
-                    records_healed=faults.get("records_healed", 0),
-                    records_stabilised=faults.get("records_stabilised", 0),
-                    deferred_acks=faults.get("deferred_acks", 0),
-                    flush_requeues=faults.get("flush_requeues", 0),
-                    crash_checks=checks,
-                    violations=violations,
+    One row per (technique, rate); the header's ``violations`` totals the
+    crash-consistency violations of the whole sweep, which must be 0.
+    """
+
+    def compute(scale, cache, runner):
+        rows = []
+        for technique in techniques:
+            for rate in rates:
+                config = reference_config(technique, scale.runtime, seed)
+                plan = fault_plan_for_rate(rate, scale.runtime)
+                if plan is None:
+                    run = run_simulation(config)
+                    checks = 0
+                    violations = 0
+                else:
+                    chaos = run_crash_consistency(config.replace(faults=plan))
+                    run = chaos.result
+                    checks = len(chaos.checks)
+                    violations = chaos.violations
+                faults = run.faults or {}
+                rows.append(
+                    {
+                        "technique": technique,
+                        "fault_rate": rate,
+                        "committed": run.transactions_committed,
+                        "killed": run.transactions_killed,
+                        "unfinished": run.transactions_unfinished,
+                        "throughput_tps": run.transactions_committed / run.runtime,
+                        "mean_commit_latency": run.mean_commit_latency,
+                        "max_commit_latency": run.max_commit_latency,
+                        **{name: faults.get(name, 0) for name in FAULT_COUNTERS},
+                        "crash_checks": checks,
+                        "violations": violations,
+                    }
                 )
-            )
-    cache.put(key, result.to_dict())
-    return result
+        violations = sum(row["violations"] for row in rows)
+        header = {
+            "rates": list(rates),
+            "violations": violations,
+            "verdict": "OK" if violations == 0 else f"{violations} VIOLATIONS",
+        }
+        return header, rows
+
+    key = f"-r{','.join(f'{r:g}' for r in rates)}-t{','.join(techniques)}"
+    return run_sweep("efault", key, scale, seed, cache, None, compute)

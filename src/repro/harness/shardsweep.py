@@ -14,14 +14,12 @@ round) versus committed on one shard at today's single-disk latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.constants import ARRIVAL_RATE_TPS
-from repro.harness.config import SimulationConfig
 from repro.harness.scale import Scale
 from repro.harness.simulator import Simulation
-from repro.harness.sweep import SweepCache
+from repro.harness.sweep import SweepCache, SweepTable, reference_config, run_sweep
 
 #: Shard counts swept by default; 1 is the single-disk paper baseline.
 DEFAULT_SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4)
@@ -29,116 +27,23 @@ DEFAULT_SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4)
 #: Techniques the sweep covers (the hybrid manager does not shard).
 DEFAULT_TECHNIQUES: Tuple[str, ...] = ("el", "fw")
 
-
-@dataclass
-class ShardPoint:
-    """One technique at one shard count."""
-
-    technique: str
-    shards: int
-    arrival_rate: float
-    committed: int
-    killed: int
-    unfinished: int
-    throughput_tps: float
-    #: Aggregate committed log-block writes per second over all shards.
-    bandwidth_wps: float
-    mean_commit_latency: float
-    max_commit_latency: float
-    single_shard_commits: int = 0
-    cross_shard_commits: int = 0
-    forwarded_records: int = 0
-    recirculated_records: int = 0
-    flushes_completed: int = 0
-    demand_flushes: int = 0
-    failed: Optional[str] = None
-
-
-@dataclass
-class ShardSweepResult:
-    """The full E-shard sweep, serialisable for caching and benches."""
-
-    scale_label: str
-    runtime: float
-    seed: int
-    shard_counts: List[int] = field(default_factory=list)
-    points: List[ShardPoint] = field(default_factory=list)
-
-    def points_for(self, technique: str) -> List[ShardPoint]:
-        return [p for p in self.points if p.technique == technique]
-
-    def bandwidth_ratio(self, technique: str, shards_from: int, shards_to: int) -> float:
-        """Aggregate-bandwidth scaling factor between two shard counts."""
-        by_count = {p.shards: p for p in self.points_for(technique)}
-        if shards_from not in by_count or shards_to not in by_count:
-            raise KeyError(
-                f"sweep has no {technique} points for {shards_from}->{shards_to}"
-            )
-        base = by_count[shards_from].bandwidth_wps
-        return by_count[shards_to].bandwidth_wps / base if base else 0.0
-
-    def text(self) -> str:
-        lines = [
-            "E-shard: weak-scaling aggregate log bandwidth vs shard count "
-            f"({self.runtime:g}s, seed {self.seed}, "
-            f"{ARRIVAL_RATE_TPS:g} TPS per shard)",
-            f"{'tech':<5} {'shards':>6} {'rate':>6} {'tps':>7} {'wps':>7} "
-            f"{'lat ms':>7} {'x-shard':>8} {'killed':>6}",
-        ]
-        for p in self.points:
-            lines.append(
-                f"{p.technique:<5} {p.shards:>6} {p.arrival_rate:>6.0f} "
-                f"{p.throughput_tps:>7.1f} {p.bandwidth_wps:>7.2f} "
-                f"{p.mean_commit_latency*1000:>7.1f} "
-                f"{p.cross_shard_commits:>8} {p.killed:>6}"
-            )
-        for technique in dict.fromkeys(p.technique for p in self.points):
-            counts = sorted(p.shards for p in self.points_for(technique))
-            ratios = ", ".join(
-                f"{counts[i]}->{counts[i+1]}: "
-                f"{self.bandwidth_ratio(technique, counts[i], counts[i+1]):.2f}x"
-                for i in range(len(counts) - 1)
-            )
-            if ratios:
-                lines.append(f"{technique} bandwidth scaling: {ratios}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "scale_label": self.scale_label,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "shard_counts": list(self.shard_counts),
-            "points": [dict(p.__dict__) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardSweepResult":
-        result = cls(
-            scale_label=data["scale_label"],
-            runtime=data["runtime"],
-            seed=data["seed"],
-            shard_counts=list(data["shard_counts"]),
-        )
-        result.points = [ShardPoint(**p) for p in data["points"]]
-        return result
-
-
-def _base_config(
-    technique: str, runtime: float, seed: int, shards: int
-) -> SimulationConfig:
-    # Weak scaling: offered load grows with the shard count so each shard
-    # runs at the paper's reference 100 TPS operating point.
-    rate = ARRIVAL_RATE_TPS * shards
-    if technique == "fw":
-        # The paper's FW reference size; FW kills its long transactions by
-        # design (no recirculation), at every shard count alike.
-        return SimulationConfig.firewall(
-            34, runtime=runtime, seed=seed, arrival_rate=rate, shards=shards
-        )
-    return SimulationConfig.ephemeral(
-        (18, 16), runtime=runtime, seed=seed, arrival_rate=rate, shards=shards
-    )
+SHARD_SWEEP = dict(
+    title=(
+        "E-shard: weak-scaling aggregate log bandwidth vs shard count "
+        "({runtime:g}s, seed {seed}, {tps_per_shard:g} TPS per shard)"
+    ),
+    x_column=("tech", "technique"),
+    columns=[
+        ("shards", "shards"),
+        ("rate", "arrival_rate", "{:.0f}".format),
+        ("tps", "throughput_tps", "{:.1f}".format),
+        ("wps", "bandwidth_wps"),
+        ("lat ms", "mean_commit_latency", lambda v: f"{v * 1000:.1f}"),
+        ("x-shard", "cross_shard_commits"),
+        ("killed", "killed"),
+        ("scaling", "bandwidth_scaling", lambda v: "-" if v is None else f"{v:.2f}x"),
+    ],
+)
 
 
 def run_shard_sweep(
@@ -147,52 +52,67 @@ def run_shard_sweep(
     cache: Optional[SweepCache] = None,
     shard_counts: Tuple[int, ...] = DEFAULT_SHARD_COUNTS,
     techniques: Tuple[str, ...] = DEFAULT_TECHNIQUES,
-) -> ShardSweepResult:
-    """Sweep the shard count for each technique under weak scaling."""
-    scale = scale or Scale.from_env()
-    cache = cache or SweepCache()
+) -> SweepTable:
+    """Sweep the shard count for each technique under weak scaling.
+
+    One row per (technique, shard count).  ``bandwidth_wps`` is the
+    aggregate committed log-block writes per second over all shards;
+    ``bandwidth_scaling`` is its ratio to the technique's previous shard
+    count in the sweep (``None`` on the first).  FW runs at the paper's
+    34-block reference size and kills its long transactions by design,
+    at every shard count alike.
+    """
+
+    def compute(scale, cache, runner):
+        rows = []
+        for technique in techniques:
+            previous = None
+            for shards in shard_counts:
+                # Weak scaling: each shard runs at the paper's 100 TPS.
+                config = reference_config(
+                    technique,
+                    scale.runtime,
+                    seed,
+                    arrival_rate=ARRIVAL_RATE_TPS * shards,
+                    shards=shards,
+                )
+                simulation = Simulation(config)
+                run = simulation.run()
+                manager = simulation.manager
+                bandwidth = run.total_bandwidth_wps
+                rows.append(
+                    {
+                        "technique": technique,
+                        "shards": shards,
+                        "arrival_rate": config.arrival_rate,
+                        "committed": run.transactions_committed,
+                        "killed": run.transactions_killed,
+                        "unfinished": run.transactions_unfinished,
+                        "throughput_tps": run.transactions_committed / run.runtime,
+                        "bandwidth_wps": bandwidth,
+                        "bandwidth_scaling": (
+                            bandwidth / previous if previous else None
+                        ),
+                        "mean_commit_latency": run.mean_commit_latency,
+                        "max_commit_latency": run.max_commit_latency,
+                        "single_shard_commits": getattr(
+                            manager, "single_shard_commits", run.transactions_committed
+                        ),
+                        "cross_shard_commits": getattr(
+                            manager, "cross_shard_commits", 0
+                        ),
+                        "forwarded_records": run.forwarded_records,
+                        "recirculated_records": run.recirculated_records,
+                        "flushes_completed": run.flushes_completed,
+                        "demand_flushes": run.demand_flushes,
+                        "failed": run.failed,
+                    }
+                )
+                previous = bandwidth
+        header = {"shard_counts": list(shard_counts), "tps_per_shard": ARRIVAL_RATE_TPS}
+        return header, rows
+
     key = (
-        f"eshard-{scale.label}-seed{seed}"
         f"-n{','.join(str(n) for n in shard_counts)}-t{','.join(techniques)}"
     )
-    cached = cache.get(key)
-    if cached is not None:
-        return ShardSweepResult.from_dict(cached)
-
-    result = ShardSweepResult(
-        scale_label=scale.label,
-        runtime=scale.runtime,
-        seed=seed,
-        shard_counts=list(shard_counts),
-    )
-    for technique in techniques:
-        for shards in shard_counts:
-            config = _base_config(technique, scale.runtime, seed, shards)
-            simulation = Simulation(config)
-            run = simulation.run()
-            manager = simulation.manager
-            result.points.append(
-                ShardPoint(
-                    technique=technique,
-                    shards=shards,
-                    arrival_rate=config.arrival_rate,
-                    committed=run.transactions_committed,
-                    killed=run.transactions_killed,
-                    unfinished=run.transactions_unfinished,
-                    throughput_tps=run.transactions_committed / run.runtime,
-                    bandwidth_wps=run.total_bandwidth_wps,
-                    mean_commit_latency=run.mean_commit_latency,
-                    max_commit_latency=run.max_commit_latency,
-                    single_shard_commits=getattr(
-                        manager, "single_shard_commits", run.transactions_committed
-                    ),
-                    cross_shard_commits=getattr(manager, "cross_shard_commits", 0),
-                    forwarded_records=run.forwarded_records,
-                    recirculated_records=run.recirculated_records,
-                    flushes_completed=run.flushes_completed,
-                    demand_flushes=run.demand_flushes,
-                    failed=run.failed,
-                )
-            )
-    cache.put(key, result.to_dict())
-    return result
+    return run_sweep("eshard", key, scale, seed, cache, None, compute)

@@ -1,10 +1,14 @@
-"""JSON result caching for parameter sweeps.
+"""Sweep results: one table type, one on-disk cache, one driver sequence.
 
-The figure drivers run many simulations; a small on-disk cache makes
-re-rendering a figure (or running the figure-5 bench after the figure-4
-bench, which share the same sweep) cheap.  Entries are keyed by an explicit
-string that includes every parameter that affects the result plus a format
-version, so stale entries are never silently reused.
+Every experiment driver returns a :class:`SweepTable` — header values plus
+rows of plain column dicts — and renders it with :meth:`SweepTable.render`.
+The drivers run many simulations; a small on-disk cache makes re-rendering
+a figure (or running the figure-5 bench after the figure-4 bench, which
+share the same sweep) cheap.  Entries are keyed by an explicit string that
+includes every parameter that affects the result plus a format version, so
+stale entries are never silently reused.  :func:`run_sweep` owns the
+sequence every driver shares: default scale, cache lookup, compute, cache
+store, run manifest.
 """
 
 from __future__ import annotations
@@ -13,13 +17,32 @@ import hashlib
 import json
 import os
 import threading
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.harness.config import SimulationConfig
+from repro.harness.scale import Scale
+from repro.metrics.report import format_series
+from repro.obs.manifest import (
+    RunManifest,
+    aggregate_worker_manifests,
+    default_manifest_path,
+    describe_code,
+)
 
 #: Bump when result formats or simulation semantics change.
 #: v4: filenames carry a digest of the raw key (collision fix) and the
 #: per-run cache keys results by config fingerprint.
-CACHE_VERSION = 4
+#: v5: every sweep is stored as one :class:`SweepTable` document.
+CACHE_VERSION = 5
+
+#: Accepted by every driver: where to drop the experiment's run manifest.
+ManifestDir = Optional[Union[str, Path]]
+
+#: A rendered column: ``(label, key)`` or ``(label, key, fmt)``, where
+#: ``fmt`` maps the row's value to the printed cell.
+Column = Tuple[Any, ...]
 
 
 def default_cache_dir() -> Path:
@@ -131,3 +154,156 @@ class SweepCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SweepCache {self.directory} hits={self.hits} misses={self.misses}>"
+
+
+@dataclass
+class SweepTable:
+    """One sweep's outcome: header values plus one plain dict per row.
+
+    Derived quantities (ratios, totals, verdicts) are stored as columns or
+    header values when the table is built, so the cached document carries
+    them and nothing recomputes them on the way to the screen.
+    """
+
+    name: str
+    scale_label: str
+    runtime: float
+    seed: int
+    header: Dict[str, Any] = field(default_factory=dict)
+    rows: List[Dict[str, Any]] = field(default_factory=list)
+
+    def select(self, **match: Any) -> List[Dict[str, Any]]:
+        """The rows whose columns equal every ``match`` value, in order."""
+        return [
+            row
+            for row in self.rows
+            if all(row[key] == value for key, value in match.items())
+        ]
+
+    def render(
+        self,
+        title: str,
+        x_column: Optional[Column] = None,
+        columns: Sequence[Column] = (),
+    ) -> str:
+        """The table as text: ``title``, then one line per row.
+
+        ``title`` is a format string over the table's fields, its header
+        values and, for a one-row table, that row's columns, so a summary
+        such as the scarce-flush result renders from its title alone
+        (``x_column=None`` prints no table).
+        """
+        values = {
+            "name": self.name,
+            "scale_label": self.scale_label,
+            "runtime": self.runtime,
+            "seed": self.seed,
+            **self.header,
+        }
+        if len(self.rows) == 1:
+            values.update(self.rows[0])
+        text = title.format(**values)
+        if x_column is None:
+            return text
+        specs = [x_column, *columns]
+        return format_series(
+            text,
+            x_column[0],
+            [spec[0] for spec in columns],
+            [[_cell(spec, row) for spec in specs] for row in self.rows],
+        )
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SweepTable":
+        return cls(**data)
+
+
+def _cell(spec: Column, row: Dict[str, Any]) -> Any:
+    value = row[spec[1]]
+    return spec[2](value) if len(spec) > 2 else value
+
+
+def reference_config(
+    technique: str, runtime: float, seed: int, **overrides: Any
+) -> SimulationConfig:
+    """The paper's EL reference sizes (18 + 16 blocks) or FW at the same
+    34-block budget, so the two techniques' curves compare."""
+    if technique == "fw":
+        return SimulationConfig.firewall(34, runtime=runtime, seed=seed, **overrides)
+    return SimulationConfig.ephemeral((18, 16), runtime=runtime, seed=seed, **overrides)
+
+
+def run_sweep(
+    name: str,
+    key: str,
+    scale: Optional[Scale],
+    seed: int,
+    cache: Optional[SweepCache],
+    manifest_dir: ManifestDir,
+    compute: Callable[[Scale, SweepCache, Any], Tuple[dict, List[dict]]],
+    jobs: int = 1,
+) -> SweepTable:
+    """Return the ``name`` sweep's table, from the cache when it has one.
+
+    ``key`` carries the parameters beyond scale and seed.  On a miss,
+    ``compute(scale, cache, runner)`` returns the header and rows, run
+    through one :class:`~repro.harness.parallel.ParallelRunner` of ``jobs``
+    workers, and the table is cached.  Either way a run manifest is written
+    when ``manifest_dir`` is given.
+    """
+    # parallel imports SweepCache from this module.
+    from repro.harness.parallel import ParallelRunner
+
+    scale = scale or Scale.from_env()
+    cache = cache or SweepCache()
+    full_key = f"{name}-{scale.label}-seed{seed}{key}"
+    document = cache.get(full_key)
+    runner = None
+    if document is not None:
+        table = SweepTable.from_dict(document)
+    else:
+        with ParallelRunner(jobs=jobs, cache=cache) as runner:
+            header, rows = compute(scale, cache, runner)
+        table = SweepTable(name, scale.label, scale.runtime, seed, header, rows)
+        cache.put(full_key, table.to_dict())
+    _publish_manifest(table, manifest_dir, runner)
+    return table
+
+
+def _publish_manifest(table: SweepTable, manifest_dir: ManifestDir, runner) -> None:
+    """Write a reproducibility manifest for one sweep's table.
+
+    The full table document rides in the manifest's ``counters`` block, so
+    two sweeps (different seeds, code revisions, scales) can be diffed as
+    JSON without re-running anything.  When the sweep was computed through
+    a runner, its per-worker manifests are aggregated into a ``parallel``
+    block so the manifest also attributes wall-clock cost.
+    """
+    if manifest_dir is None:
+        return
+    label = f"{table.name}-{table.scale_label}"
+    counters = table.to_dict()
+    if runner is not None:
+        counters["parallel"] = {
+            "jobs": runner.jobs,
+            "runs_executed": runner.runs_executed,
+            "cache_hits": runner.cache_hits,
+            "timeouts": runner.timeouts,
+            "retries_used": runner.retries_used,
+            "workers": aggregate_worker_manifests(runner.worker_manifests),
+        }
+    manifest = RunManifest(
+        label=label,
+        seed=table.seed,
+        config={
+            "experiment": table.name,
+            "scale": table.scale_label,
+            "runtime": table.runtime,
+        },
+        code=describe_code(),
+        counters=counters,
+    )
+    manifest.write(default_manifest_path(manifest_dir, label, table.seed))

@@ -38,16 +38,16 @@ class TestFigure7Overrides:
             gen0_blocks=18,
             gen1_start=12,
         )
-        assert result.gen0_blocks == 18
-        assert result.points[0].gen1_blocks == 12
-        assert result.points[0].total_blocks == 30
+        assert result.header["gen0_blocks"] == 18
+        assert result.rows[0]["gen1_blocks"] == 12
+        assert result.rows[0]["total_blocks"] == 30
 
     def test_cache_key_includes_overrides(self, tiny_scale, cache):
         # Different override values must not collide in the cache.
         twelve = run_figure_7(tiny_scale, cache=cache, gen0_blocks=18, gen1_start=12)
         six = run_figure_7(tiny_scale, cache=cache, gen0_blocks=18, gen1_start=6)
-        assert twelve.points[0].gen1_blocks == 12
-        assert six.points[0].gen1_blocks == 6
+        assert twelve.rows[0]["gen1_blocks"] == 12
+        assert six.rows[0]["gen1_blocks"] == 6
         key_before = cache.hits
         again = run_figure_7(tiny_scale, cache=cache, gen0_blocks=18, gen1_start=6)
         assert cache.hits > key_before  # identical call hits the cache
@@ -57,7 +57,7 @@ class TestFigure7Overrides:
 class TestFiguresSweepInternals:
     def test_points_sorted_by_mix(self, tiny_scale, cache):
         result = run_figures_4_5_6(tiny_scale, cache=cache)
-        fractions = [p.long_fraction for p in result.points]
+        fractions = [p["long_fraction"] for p in result.rows]
         assert fractions == sorted(fractions)
 
     def test_seed_is_part_of_the_key(self, tiny_scale, cache):

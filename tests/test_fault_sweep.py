@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+from repro.cli import _chaos_plan, build_parser
 from repro.faults.plan import FaultPlan
 from repro.harness.faultsweep import (
-    FaultPoint,
-    FaultSweepResult,
+    FAULT_SWEEP,
     fault_plan_for_rate,
     run_fault_sweep,
 )
 from repro.harness.scale import Scale
-from repro.harness.sweep import SweepCache
+from repro.harness.sweep import SweepCache, SweepTable
 
 RATES = (0.0, 0.1)
 
@@ -27,6 +27,21 @@ class TestFaultPlanForRate:
         assert plan.latent_error_rate == 0.01
         assert plan.flush_fault_rate == 0.1
         assert plan.crash_times == (30.0, 60.0, 90.0)
+        assert plan.max_retries == FaultPlan().max_retries
+
+    def test_chaos_uses_the_same_proportions(self):
+        args = build_parser().parse_args(
+            ["chaos", "--rate", "0.1", "--crashes", "3", "--runtime", "40",
+             "--max-retries", "0"]
+        )
+        plan = _chaos_plan(args)
+        sweep_plan = fault_plan_for_rate(0.1, 40.0)
+        for name in ("transient_write_rate", "torn_write_rate",
+                     "latent_error_rate", "flush_fault_rate"):
+            assert getattr(plan, name) == getattr(sweep_plan, name)
+        # Chaos keeps its own crash spacing and retry budget.
+        assert plan.crash_times == (10.0, 20.0, 30.0)
+        assert plan.max_retries == 0
 
 
 class TestRunFaultSweep:
@@ -35,19 +50,19 @@ class TestRunFaultSweep:
         result = run_fault_sweep(
             Scale.smoke(), seed=0, cache=cache, rates=RATES
         )
-        assert result.ok
-        assert result.rates == list(RATES)
-        assert len(result.points) == 2 * len(RATES)  # el and fw
+        assert result.header["violations"] == 0
+        assert result.header["rates"] == list(RATES)
+        assert len(result.rows) == 2 * len(RATES)  # el and fw
         for technique in ("el", "fw"):
-            points = result.points_for(technique)
-            assert [p.fault_rate for p in points] == list(RATES)
+            points = result.select(technique=technique)
+            assert [p["fault_rate"] for p in points] == list(RATES)
             baseline, faulty = points
-            assert baseline.violations == 0 and baseline.crash_checks == 0
-            assert faulty.crash_checks == 3
-            assert faulty.violations == 0
-            assert faulty.write_faults > 0
-            assert baseline.write_faults == 0
-            assert baseline.committed > 0 and faulty.committed > 0
+            assert baseline["violations"] == 0 and baseline["crash_checks"] == 0
+            assert faulty["crash_checks"] == 3
+            assert faulty["violations"] == 0
+            assert faulty["write_faults"] > 0
+            assert baseline["write_faults"] == 0
+            assert baseline["committed"] > 0 and faulty["committed"] > 0
 
     def test_sweep_cached_and_round_trips(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -63,27 +78,31 @@ class TestRunFaultSweep:
         result = run_fault_sweep(
             Scale.smoke(), seed=0, cache=SweepCache(tmp_path), rates=RATES
         )
-        text = result.text()
+        text = result.render(**FAULT_SWEEP)
         assert "crash consistency: OK" in text
         assert text.count("el") >= len(RATES)
 
     def test_from_dict_rebuilds_points(self):
-        result = FaultSweepResult(
-            scale_label="smoke", runtime=25.0, seed=0, rates=[0.1]
+        result = SweepTable(
+            "efault",
+            "smoke",
+            25.0,
+            0,
+            header={"rates": [0.1], "violations": 0, "verdict": "OK"},
+            rows=[
+                {
+                    "technique": "el",
+                    "fault_rate": 0.1,
+                    "committed": 10,
+                    "killed": 1,
+                    "unfinished": 0,
+                    "throughput_tps": 0.4,
+                    "mean_commit_latency": 0.05,
+                    "max_commit_latency": 0.2,
+                    "violations": 0,
+                }
+            ],
         )
-        result.points.append(
-            FaultPoint(
-                technique="el",
-                fault_rate=0.1,
-                committed=10,
-                killed=1,
-                unfinished=0,
-                throughput_tps=0.4,
-                mean_commit_latency=0.05,
-                max_commit_latency=0.2,
-                violations=0,
-            )
-        )
-        rebuilt = FaultSweepResult.from_dict(result.to_dict())
+        rebuilt = SweepTable.from_dict(result.to_dict())
         assert rebuilt.to_dict() == result.to_dict()
-        assert rebuilt.ok
+        assert rebuilt.header["violations"] == 0

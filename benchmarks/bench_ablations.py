@@ -157,6 +157,7 @@ def test_ablation_hybrid_memory_bandwidth(benchmark, runtime, publish):
     # "This can drastically reduce main memory consumption ... but at a
     # price of higher bandwidth."
     assert hybrid.memory_peak_bytes < el.memory_peak_bytes
+    assert hybrid.total_bandwidth_wps > el.total_bandwidth_wps
     assert hybrid.failed is None
 
 

@@ -8,7 +8,9 @@ Public surface:
 * :class:`~repro.core.firewall.FirewallLogManager` — the System-R-style
   firewall baseline (single queue, no recirculation).
 * :class:`~repro.core.hybrid.HybridLogManager` — the EL–FW hybrid sketched
-  in the paper's concluding remarks.
+  in the paper's concluding remarks (EL with whole-transaction migration).
+* :func:`~repro.core.factory.build_manager` — the one technique → manager
+  switch shared by the simulator, the shards and the live server.
 * :class:`~repro.core.sharded.ShardedLogManager` — N independent EL/FW
   shards on their own disks with range routing and cross-shard group
   commit (scale-out beyond one log disk's bandwidth).
@@ -20,6 +22,7 @@ Public surface:
 from repro.core.buffers import BlockBuffer, BufferPool
 from repro.core.cells import Cell, CellList
 from repro.core.ephemeral import EphemeralLogManager
+from repro.core.factory import build_manager
 from repro.core.firewall import FirewallLogManager
 from repro.core.flushqueue import FlushScheduler
 from repro.core.generation import Generation
@@ -55,5 +58,6 @@ __all__ = [
     "SizingAdvice",
     "TxStatus",
     "UnflushedHeadPolicy",
+    "build_manager",
     "recommend_generation_sizes",
 ]

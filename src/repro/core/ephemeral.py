@@ -14,7 +14,8 @@ flushes committed updates to the stable database so that their records are
 already garbage when they reach a head.
 
 The firewall baseline is this same machinery restricted to one generation
-with recirculation disabled (see :mod:`repro.core.firewall`).
+with recirculation disabled (see :mod:`repro.core.firewall`); the §6 EL–FW
+hybrid is it with whole-transaction migration (see :mod:`repro.core.hybrid`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.sim.engine import Simulator
 class EphemeralLogManager(LogManager):
     """The ephemeral logging manager (EL)."""
 
-    #: Trace/metric namespace; the firewall subclass overrides it to "fw".
+    #: Trace/metric namespace; the subclasses override it ("fw", "hybrid").
     trace_source = "el"
 
     def __init__(
@@ -195,6 +196,8 @@ class EphemeralLogManager(LogManager):
         self.fresh_records = 0
         self.forwarded_records = 0
         self.recirculated_records = 0
+        #: Records carried along when a sibling migrates (the hybrid only).
+        self.regenerated_records = 0
         self.garbage_copies_discarded = 0
         self.begun_count = 0
         self.committed_count = 0
@@ -1082,6 +1085,6 @@ class EphemeralLogManager(LogManager):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = [g.capacity for g in self.generations]
         return (
-            f"<EphemeralLogManager generations={sizes} "
+            f"<{type(self).__name__} generations={sizes} "
             f"recirculation={self.recirculation} kills={self.kill_count}>"
         )

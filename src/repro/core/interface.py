@@ -2,10 +2,10 @@
 
 A log manager (LM) is "the component of a DBMS which is responsible for
 managing a log of database activity".  The workload generator drives it
-through this interface; the harness reads metrics back out of it.  Two full
-implementations exist (:class:`~repro.core.ephemeral.EphemeralLogManager`
-and :class:`~repro.core.firewall.FirewallLogManager`) plus the hybrid
-extension.
+through this interface; the harness reads metrics back out of it.  One
+family implements it: :class:`~repro.core.ephemeral.EphemeralLogManager`,
+configured as the firewall baseline and the EL–FW hybrid by its two
+subclasses, plus the sharded composition of several of them.
 """
 
 from __future__ import annotations

@@ -43,11 +43,10 @@ from repro.constants import (
     LOG_WRITE_SECONDS,
 )
 from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
+from repro.core.factory import build_manager
 from repro.core.interface import CommitAckCallback, LogManager, UnflushedHeadPolicy
 from repro.core.killpolicy import KillPolicy
 from repro.core.ltt import TxStatus
-from repro.core.placement import LifetimePlacementPolicy
 from repro.db.database import StableDatabase
 from repro.disk.block import BlockImage
 from repro.disk.partition import RangePartitioner
@@ -324,50 +323,27 @@ class ShardedLogManager(LogManager):
                 injectors.append(shard_faults)
             else:
                 shard_faults = NULL_FAULTS
-            if technique == "fw":
-                shard = FirewallLogManager(
-                    sim,
-                    database,
-                    log_blocks=generation_sizes[0],
-                    flush_drives=flush_drives,
-                    flush_write_seconds=flush_write_seconds,
-                    payload_bytes=payload_bytes,
-                    buffer_count=buffer_count,
-                    gap_blocks=gap_blocks,
-                    log_write_seconds=log_write_seconds,
-                    kill_policy=kill_policy,
-                    trace=shard_trace,
-                    metrics=shard_metrics,
-                    faults=shard_faults,
-                    lsn_factory=lsn_factory,
-                    flush_span=self.router.range_of(index),
-                )
-            else:
-                placement = (
-                    LifetimePlacementPolicy(placement_boundaries)
-                    if placement_boundaries is not None
-                    else None
-                )
-                shard = EphemeralLogManager(
-                    sim,
-                    database,
-                    generation_sizes=generation_sizes,
-                    recirculation=recirculation,
-                    flush_drives=flush_drives,
-                    flush_write_seconds=flush_write_seconds,
-                    payload_bytes=payload_bytes,
-                    buffer_count=buffer_count,
-                    gap_blocks=gap_blocks,
-                    log_write_seconds=log_write_seconds,
-                    unflushed_head_policy=unflushed_head_policy,
-                    kill_policy=kill_policy,
-                    placement=placement,
-                    trace=shard_trace,
-                    metrics=shard_metrics,
-                    faults=shard_faults,
-                    lsn_factory=lsn_factory,
-                    flush_span=self.router.range_of(index),
-                )
+            shard = build_manager(
+                sim,
+                database,
+                technique,
+                generation_sizes=generation_sizes,
+                recirculation=recirculation,
+                unflushed_head_policy=unflushed_head_policy,
+                placement_boundaries=placement_boundaries,
+                flush_drives=flush_drives,
+                flush_write_seconds=flush_write_seconds,
+                payload_bytes=payload_bytes,
+                buffer_count=buffer_count,
+                gap_blocks=gap_blocks,
+                log_write_seconds=log_write_seconds,
+                kill_policy=kill_policy,
+                trace=shard_trace,
+                metrics=shard_metrics,
+                faults=shard_faults,
+                lsn_factory=lsn_factory,
+                flush_span=self.router.range_of(index),
+            )
             shard.on_kill = self._kill_handler(index)
             self._shards.append(shard)
 
@@ -559,6 +535,10 @@ class ShardedLogManager(LogManager):
     @property
     def emergency_recirculations(self) -> int:
         return sum(s.emergency_recirculations for s in self._shards)
+
+    @property
+    def regenerated_records(self) -> int:
+        return sum(s.regenerated_records for s in self._shards)
 
     @property
     def garbage_copies_discarded(self) -> int:

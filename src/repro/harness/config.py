@@ -114,7 +114,7 @@ class SimulationConfig:
         ):
             raise ConfigurationError(
                 "fault injection is not supported for the hybrid manager "
-                "(it has no detection/self-healing hooks)"
+                "(its whole-transaction moves are not verified under self-healing)"
             )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")

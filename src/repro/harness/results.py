@@ -45,7 +45,7 @@ class SimulationResult:
     fresh_records: int = 0
     forwarded_records: int = 0
     recirculated_records: int = 0
-    #: Records rewritten wholesale by the EL-FW hybrid's relocation.
+    #: Records the EL-FW hybrid carried along with a migrating sibling.
     regenerated_records: int = 0
     garbage_copies_discarded: int = 0
 

@@ -12,16 +12,14 @@ import time
 from typing import Dict, List, Optional, Union
 
 from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
-from repro.core.hybrid import HybridLogManager
-from repro.core.placement import LifetimePlacementPolicy
+from repro.core.factory import build_manager
 from repro.core.sharded import ShardedLogManager
 from repro.db.database import StableDatabase
 from repro.db.objects import ObjectVersion
 from repro.disk.block import BlockImage
 from repro.errors import LogFullError
 from repro.faults.injector import NULL_FAULTS, FaultInjector
-from repro.harness.config import SimulationConfig, Technique
+from repro.harness.config import SimulationConfig
 from repro.harness.results import GenerationResult, SimulationResult
 from repro.metrics.series import PeriodicSampler
 from repro.obs import Observability
@@ -77,9 +75,8 @@ class Simulation:
         self.sampler = PeriodicSampler(self.sim, config.sample_period)
         self.sampler.add_probe("memory_bytes", self.manager.memory_bytes)
         self.sampler.add_probe("flush_backlog", self._flush_backlog)
-        if hasattr(self.manager, "lot"):
-            self.sampler.add_probe("lot_entries", lambda: len(self.manager.lot))
-            self.sampler.add_probe("ltt_entries", lambda: len(self.manager.ltt))
+        self.sampler.add_probe("lot_entries", lambda: len(self.manager.lot))
+        self.sampler.add_probe("ltt_entries", lambda: len(self.manager.ltt))
         if self.obs.metrics.enabled:
             # Engine-side series the paper-style results never needed but
             # perf work does: event-heap depth over time.
@@ -91,11 +88,13 @@ class Simulation:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_manager(
-        self,
-    ) -> Union[EphemeralLogManager, HybridLogManager, ShardedLogManager]:
+    def _build_manager(self) -> Union[EphemeralLogManager, ShardedLogManager]:
         config = self.config
         common = dict(
+            generation_sizes=config.generation_sizes,
+            recirculation=config.recirculation,
+            unflushed_head_policy=config.unflushed_head_policy,
+            placement_boundaries=config.placement_boundaries,
             flush_drives=config.flush_drives,
             flush_write_seconds=config.flush_write_seconds,
             payload_bytes=config.payload_bytes,
@@ -113,41 +112,15 @@ class Simulation:
                 self.database,
                 shard_count=config.shards,
                 technique=config.technique.value,
-                generation_sizes=config.generation_sizes,
-                recirculation=config.recirculation,
-                unflushed_head_policy=config.unflushed_head_policy,
-                placement_boundaries=config.placement_boundaries,
                 fault_plan=config.faults,
                 rng=self.rng,
                 **common,
             )
-        if config.technique is Technique.FIREWALL:
-            return FirewallLogManager(
-                self.sim,
-                self.database,
-                log_blocks=config.generation_sizes[0],
-                faults=self.faults,
-                **common,
-            )
-        if config.technique is Technique.HYBRID:
-            # config.__post_init__ rejects hybrid + an enabled fault plan;
-            # the hybrid manager has no self-healing hooks.
-            return HybridLogManager(
-                self.sim,
-                self.database,
-                queue_sizes=config.generation_sizes,
-                **common,
-            )
-        placement = None
-        if config.placement_boundaries is not None:
-            placement = LifetimePlacementPolicy(config.placement_boundaries)
-        return EphemeralLogManager(
+        # config.__post_init__ rejects hybrid + an enabled fault plan.
+        return build_manager(
             self.sim,
             self.database,
-            generation_sizes=config.generation_sizes,
-            recirculation=config.recirculation,
-            unflushed_head_policy=config.unflushed_head_policy,
-            placement=placement,
+            config.technique.value,
             faults=self.faults,
             **common,
         )
@@ -157,22 +130,9 @@ class Simulation:
 
     def _manager_counters(self, result: SimulationResult) -> dict:
         """Manifest counter block: manager counters plus the drive view."""
-        manager = self.manager
-        if hasattr(manager, "counters_snapshot"):
-            counters = manager.counters_snapshot()
-        else:  # the hybrid manager keeps a reduced counter set
-            counters = {
-                "begun": getattr(manager, "begun_count", 0),
-                "committed": getattr(manager, "committed_count", 0),
-                "kills": getattr(manager, "kill_count", 0),
-                "regenerated_records": getattr(manager, "regenerated_records", 0),
-                "blocks_written_by_generation": [
-                    q.blocks_written for q in manager.queues
-                ],
-                "flush": manager.scheduler.counters_snapshot(),
-            }
+        counters = self.manager.counters_snapshot()
         elapsed = max(self.sim.now, 1e-9)
-        counters["drives"] = manager.scheduler.drive_report(elapsed)
+        counters["drives"] = self.manager.scheduler.drive_report(elapsed)
         counters["transactions_killed"] = result.transactions_killed
         counters["events_executed"] = result.events_executed
         return counters
@@ -239,13 +199,7 @@ class Simulation:
     # ------------------------------------------------------------------
     def capture_durable_log(self) -> List[BlockImage]:
         """Block images durably on disk right now."""
-        queues = getattr(self.manager, "generations", None)
-        if queues is None:
-            queues = self.manager.queues  # hybrid
-        images: List[BlockImage] = []
-        for queue in queues:
-            images.extend(queue.durable.values())
-        return images
+        return self.manager.durable_images()
 
     def capture_stable_database(self) -> Dict[int, ObjectVersion]:
         """Snapshot of the stable database right now."""
@@ -259,9 +213,6 @@ class Simulation:
         manager = self.manager
         stats = self.generator.stats
         elapsed = max(self.sim.now, 1e-9)
-        queues = getattr(manager, "generations", None)
-        if queues is None:
-            queues = manager.queues
 
         result = SimulationResult(
             technique=config.technique.value,
@@ -278,11 +229,11 @@ class Simulation:
             updates_written=stats.updates_written,
             mean_commit_latency=stats.mean_commit_latency,
             max_commit_latency=stats.commit_latency_max,
-            fresh_records=getattr(manager, "fresh_records", 0),
-            forwarded_records=getattr(manager, "forwarded_records", 0),
-            recirculated_records=getattr(manager, "recirculated_records", 0),
-            regenerated_records=getattr(manager, "regenerated_records", 0),
-            garbage_copies_discarded=getattr(manager, "garbage_copies_discarded", 0),
+            fresh_records=manager.fresh_records,
+            forwarded_records=manager.forwarded_records,
+            recirculated_records=manager.recirculated_records,
+            regenerated_records=manager.regenerated_records,
+            garbage_copies_discarded=manager.garbage_copies_discarded,
             flushes_completed=manager.scheduler.completed,
             demand_flushes=manager.scheduler.demand_flushes,
             flush_peak_backlog=manager.scheduler.peak_backlog,
@@ -293,25 +244,23 @@ class Simulation:
         )
         if self.faults.enabled:
             summary = {"injected": self.faults.counters_snapshot()}
-            if hasattr(manager, "fault_report"):
-                summary.update(manager.fault_report())
+            summary.update(manager.fault_report())
             result.faults = summary
         memory = self.sampler.series["memory_bytes"]
         result.memory_peak_bytes = int(memory.maximum)
         result.memory_mean_bytes = memory.mean
-        if "lot_entries" in self.sampler.series:
-            result.lot_peak_entries = int(self.sampler.series["lot_entries"].maximum)
-            result.ltt_peak_entries = int(self.sampler.series["ltt_entries"].maximum)
-        for queue in queues:
+        result.lot_peak_entries = int(self.sampler.series["lot_entries"].maximum)
+        result.ltt_peak_entries = int(self.sampler.series["ltt_entries"].maximum)
+        for generation in manager.generations:
             result.generations.append(
                 GenerationResult(
-                    capacity_blocks=queue.capacity,
-                    blocks_written=queue.blocks_written,
-                    bytes_written=queue.bytes_written,
-                    peak_used_blocks=queue.peak_used,
-                    bandwidth_wps=queue.blocks_written / elapsed,
-                    buffer_peak_in_use=queue.pool.peak_in_use,
-                    buffer_overdrafts=queue.pool.overdrafts,
+                    capacity_blocks=generation.capacity,
+                    blocks_written=generation.blocks_written,
+                    bytes_written=generation.bytes_written,
+                    peak_used_blocks=generation.peak_used,
+                    bandwidth_wps=generation.blocks_written / elapsed,
+                    buffer_peak_in_use=generation.pool.peak_in_use,
+                    buffer_overdrafts=generation.pool.overdrafts,
                 )
             )
         return result

@@ -22,19 +22,24 @@ Three service-level mechanisms surround the manager:
 * **Graceful drain** — SIGTERM (or ``--duration`` expiry) stops accepting
   connections, rejects new BEGINs, lets in-flight transactions settle,
   seals and syncs the log, and writes a run manifest.
+
+A log write or fsync error fail-stops the service: the error is logged and
+counted (``log.write_errors``), no commit waiting on the failed drive is
+ever acknowledged, and the drain starts at once without waiting for those
+commits.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import logging
 import signal
 from pathlib import Path
 from typing import Dict, Optional, Set
 
 from repro.constants import BLOCK_PAYLOAD_BYTES
-from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
+from repro.core.factory import build_manager
 from repro.core.sharded import ShardedLogManager
 from repro.errors import ConfigurationError, ReproError
 from repro.live import protocol
@@ -42,6 +47,8 @@ from repro.live.clock import RealTimeScheduler
 from repro.live.storage import FileBackedDatabase, LiveLogStorage
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import LATENCY_BUCKETS, Histogram, MetricsRegistry
+
+_log = logging.getLogger(__name__)
 
 #: Default object-space size for live servers: large enough that the paper's
 #: exclusivity constraint never binds, small enough that the sparse database
@@ -73,31 +80,17 @@ def build_live_manager(
             f"live mode supports 'el' and 'fw', got {technique!r}"
         )
     common = dict(
+        generation_sizes=tuple(generation_sizes),
+        recirculation=recirculation,
         flush_drives=flush_drives,
         flush_write_seconds=flush_write_seconds,
         metrics=metrics,
     )
     if shards > 1:
         return ShardedLogManager(
-            scheduler,
-            database,
-            shard_count=shards,
-            technique=technique,
-            generation_sizes=tuple(generation_sizes),
-            recirculation=recirculation and technique == "el",
-            **common,
+            scheduler, database, shard_count=shards, technique=technique, **common
         )
-    if technique == "fw":
-        return FirewallLogManager(
-            scheduler, database, log_blocks=generation_sizes[0], **common
-        )
-    return EphemeralLogManager(
-        scheduler,
-        database,
-        generation_sizes=tuple(generation_sizes),
-        recirculation=recirculation,
-        **common,
-    )
+    return build_manager(scheduler, database, technique, **common)
 
 
 class _LiveTx:
@@ -208,7 +201,10 @@ class LiveServer:
         )
         self.manager.on_kill = self._handle_kill
         self.storage = LiveLogStorage(
-            self.log_dir, self.scheduler, fsync=self.fsync
+            self.log_dir,
+            self.scheduler,
+            fsync=self.fsync,
+            on_error=self._handle_io_error,
         )
         self.storage.attach(self.manager)
         self._admission = asyncio.Semaphore(self.max_inflight)
@@ -249,7 +245,11 @@ class LiveServer:
         # logic running by draining open buffers until every pending commit
         # has acked (or the grace period expires).
         deadline = self.scheduler.now + self.drain_grace_seconds
-        while self._unsettled() and self.scheduler.now < deadline:
+        while (
+            self._unsettled()
+            and not self.storage.failed
+            and self.scheduler.now < deadline
+        ):
             self.manager.drain()
             await asyncio.sleep(0.02)
         # Abort whatever is still active (client went quiet); pending
@@ -544,6 +544,11 @@ class LiveServer:
         if not tx.released:
             tx.released = True
             self._admission.release()
+
+    def _handle_io_error(self, drive, exc: OSError) -> None:
+        """A log drive failed: its writes never become durable, so stop."""
+        _log.error("log write failed on %s: %s; shutting down", drive.path.name, exc)
+        self.request_shutdown()
 
     def _record_timestamp(self, tid: int, oid: int, lsn: int) -> float:
         """The appended record's exact timestamp (what recovery reads back)."""

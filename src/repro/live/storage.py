@@ -18,13 +18,18 @@ detected on read-back exactly like the simulator's checksum-failed blocks.
 
 Durability model: log writes are ``os.pwrite`` + ``fsync`` batched on a
 bounded thread pool — one fsync covers every block queued behind it (group
-fsync coalescing).  Database installs are a synchronous ``pwrite`` of a
-fixed 32-byte object slot with *no* fsync on the hot path: a page-cache
-write survives process death (SIGKILL), which is the crash model the
-recovery acceptance test exercises; ``flush()``/``close()`` fsync for
-power-loss hygiene.  The correctness ordering is inherited from the flush
-scheduler: an update's log record is only garbage-collected *after*
-``StableDatabase.install`` returns, i.e. after the pwrite.
+fsync coalescing).  A failed ``pwrite`` or ``fsync`` fails the drive for
+good: after an fsync error the kernel may already have dropped the dirty
+pages, so no write on that drive is ever reported durable again, and the
+error is handed to the loop thread so the service can fail-stop.
+
+Database installs are a synchronous ``pwrite`` of a fixed 32-byte object
+slot with *no* fsync on the hot path: a page-cache write survives process
+death (SIGKILL), which is the crash model the recovery acceptance test
+exercises; ``flush()``/``close()`` fsync for power-loss hygiene.  The
+correctness ordering is inherited from the flush scheduler: an update's log
+record is only garbage-collected *after* ``StableDatabase.install``
+returns, i.e. after the pwrite.
 """
 
 from __future__ import annotations
@@ -190,6 +195,11 @@ class FileBackedDrive:
     disk.  Writes are queued and drained by at most one worker task at a
     time; every block queued while a drain is in progress shares the next
     ``fsync`` — group-commit fsync coalescing for free.
+
+    The first ``OSError`` from ``pwrite``/``fsync`` marks the drive
+    :attr:`failed`: the failing batch, everything queued behind it and every
+    later write are dropped without a durability callback, and
+    ``on_error(drive, exc)`` runs on the loop thread.
     """
 
     def __init__(
@@ -202,6 +212,7 @@ class FileBackedDrive:
         shard: int = 0,
         generation: int = 0,
         fsync: bool = True,
+        on_error: Optional[Callable[["FileBackedDrive", OSError], None]] = None,
     ):
         if capacity_blocks < 1:
             raise ConfigurationError(
@@ -213,6 +224,7 @@ class FileBackedDrive:
         self.shard = shard
         self.generation = generation
         self.fsync_enabled = fsync
+        self.on_error = on_error
         self._executor = executor
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(
@@ -224,6 +236,8 @@ class FileBackedDrive:
         self._lock = threading.Lock()
         self._pending: deque = deque()  # (offset, payload, on_durable, t0)
         self._pump_scheduled = False
+        #: The I/O error that failed this drive (set by the pump thread).
+        self.failed: Optional[OSError] = None
 
         # Stats (loop thread, except fsyncs which the single pump owns).
         self.blocks_written = 0
@@ -241,10 +255,12 @@ class FileBackedDrive:
                 f"slot {slot} outside drive capacity {self.capacity_blocks}"
             )
         payload = encode_slot(image, shard=self.shard, generation=self.generation)
-        self.blocks_written += 1
-        self.bytes_written += len(payload)
         entry = (slot * SLOT_BYTES, payload, on_durable, self.scheduler.now)
         with self._lock:
+            if self.failed is not None:
+                return  # never durable: the drive has failed
+            self.blocks_written += 1
+            self.bytes_written += len(payload)
             self._pending.append(entry)
             if not self._pump_scheduled:
                 self._pump_scheduled = True
@@ -252,7 +268,10 @@ class FileBackedDrive:
 
     @property
     def writes_pending(self) -> int:
+        """Writes still able to become durable (none once the drive failed)."""
         with self._lock:
+            if self.failed is not None:
+                return 0
             return len(self._pending) + (1 if self._pump_scheduled else 0)
 
     def _pump(self) -> None:
@@ -264,10 +283,19 @@ class FileBackedDrive:
                     return
                 batch = list(self._pending)
                 self._pending.clear()
-            for offset, payload, _cb, _t0 in batch:
-                os.pwrite(self._fd, payload, offset)
-            if self.fsync_enabled:
-                os.fsync(self._fd)
+            try:
+                for offset, payload, _cb, _t0 in batch:
+                    os.pwrite(self._fd, payload, offset)
+                if self.fsync_enabled:
+                    os.fsync(self._fd)
+            except OSError as exc:
+                with self._lock:
+                    self.failed = exc
+                    self._pending.clear()
+                    self._pump_scheduled = False
+                if self.on_error is not None:
+                    self.scheduler.post(self.on_error, self, exc)
+                return
             self.fsyncs += 1
             self.scheduler.post(self._complete, batch)
 
@@ -282,7 +310,7 @@ class FileBackedDrive:
         """Close the file descriptor (pending writes must be drained first)."""
         if not self._closed:
             self._closed = True
-            if self.fsync_enabled:
+            if self.fsync_enabled and self.failed is None:
                 os.fsync(self._fd)
             os.close(self._fd)
 
@@ -299,13 +327,23 @@ class LiveLogStorage:
     One ``FileBackedDrive`` per generation, named ``gen{g}.log`` (or
     ``shard{s}-gen{g}.log`` behind a :class:`ShardedLogManager`), all
     sharing one bounded thread pool.  Detach-free: drives live as long as
-    the storage object.
+    the storage object.  ``on_error(drive, exc)`` runs on the loop thread
+    when a drive fails (see :class:`FileBackedDrive`).
     """
 
-    def __init__(self, directory, scheduler, *, max_workers: int = 4, fsync: bool = True):
+    def __init__(
+        self,
+        directory,
+        scheduler,
+        *,
+        max_workers: int = 4,
+        fsync: bool = True,
+        on_error: Optional[Callable[[FileBackedDrive, OSError], None]] = None,
+    ):
         self.directory = Path(directory)
         self.scheduler = scheduler
         self.fsync_enabled = fsync
+        self.on_error = on_error
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="log-io"
         )
@@ -330,6 +368,7 @@ class LiveLogStorage:
                 shard=shard,
                 generation=generation.index,
                 fsync=self.fsync_enabled,
+                on_error=self.on_error,
             )
             generation.store = drive
             self.drives.append(drive)
@@ -342,11 +381,16 @@ class LiveLogStorage:
         """Merged write-latency distribution across all drives."""
         return Histogram.merged(d.write_latency for d in self.drives)
 
+    @property
+    def failed(self) -> bool:
+        return any(drive.failed is not None for drive in self.drives)
+
     def counters(self) -> Dict[str, int]:
         return {
             "log.blocks_written": sum(d.blocks_written for d in self.drives),
             "log.bytes_written": sum(d.bytes_written for d in self.drives),
             "log.fsyncs": sum(d.fsyncs for d in self.drives),
+            "log.write_errors": sum(d.failed is not None for d in self.drives),
         }
 
     def close(self) -> None:

@@ -88,8 +88,16 @@ EVENT_SCHEMA: Dict[str, set] = {
         "emergency_recirculate",
         "space_reclaim",
     },
-    # Hybrid manager.
-    "hybrid": {"kill", "regenerate"},
+    # EL–FW hybrid (EL machinery plus whole-transaction moves).
+    "hybrid": {
+        "forward",
+        "recirculate",
+        "demand_flush",
+        "kill",
+        "gap_ensure",
+        "pressure",
+        "regenerate",
+    },
     # Flush scheduler / database drives.
     "flush": {"submit", "complete", "demand", "settle"},
     # Log generations (block lifecycle).

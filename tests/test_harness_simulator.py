@@ -50,9 +50,17 @@ class TestConstruction:
         assert "flush_backlog" in simulation.sampler.series
         assert "lot_entries" in simulation.sampler.series
 
-    def test_hybrid_has_no_lot_probe(self):
+    def test_hybrid_memory_ignores_lot_entries(self):
+        # The hybrid keeps EL's LOT for bookkeeping but is charged 40 bytes
+        # per transaction only, however many objects are logged.
         simulation = Simulation(small(Technique.HYBRID, sizes=(12, 12)))
-        assert "lot_entries" not in simulation.sampler.series
+        manager = simulation.manager
+        seen_lot = False
+        for step in range(1, 21):
+            simulation.run_until(step * 0.5)
+            seen_lot = seen_lot or len(manager.lot) > 0
+            assert manager.memory_bytes() == 40 * len(manager.ltt)
+        assert seen_lot
 
 
 class TestExecution:

@@ -13,13 +13,13 @@ from repro.sim.engine import Simulator
 
 
 class HybridHarness:
-    def __init__(self, queue_sizes=(4, 8), payload_bytes=400):
+    def __init__(self, generation_sizes=(4, 8), payload_bytes=400):
         self.sim = Simulator()
         self.database = StableDatabase(1000)
         self.manager = HybridLogManager(
             self.sim,
             self.database,
-            queue_sizes=list(queue_sizes),
+            generation_sizes=list(generation_sizes),
             flush_drives=2,
             flush_write_seconds=0.005,
             payload_bytes=payload_bytes,
@@ -40,8 +40,8 @@ class HybridHarness:
 
     def commit_and_settle(self, tid: int) -> None:
         self.manager.request_commit(tid, lambda t, when: self.acks.append(t))
-        for queue in self.manager.queues:
-            queue.seal_open_buffers()
+        for generation in self.manager.generations:
+            generation.seal_open_buffers()
         self.sim.run_until(self.sim.now + 1.0)
 
 
@@ -53,7 +53,7 @@ class TestBasicProtocol:
         harness.commit_and_settle(tid)
         assert harness.acks == [tid]
         assert harness.database.value_of(5) == value
-        assert len(harness.manager._entries) == 0  # settled and retired
+        assert len(harness.manager.ltt) == 0  # settled and retired
 
     def test_memory_counts_transactions_only(self):
         harness = HybridHarness()
@@ -61,6 +61,7 @@ class TestBasicProtocol:
         for oid in range(10):
             harness.update(tid, oid=oid)
         # 1 transaction x 40 bytes, regardless of update count.
+        assert len(harness.manager.lot) == 10
         assert harness.manager.memory_bytes() == 40
 
     def test_abort_drops_entry(self):
@@ -68,7 +69,7 @@ class TestBasicProtocol:
         tid = harness.begin()
         harness.update(tid, oid=1)
         harness.manager.abort(tid)
-        assert harness.manager.live_transactions() == 0
+        assert harness.manager.ltt.live_count() == 0
         assert harness.manager.aborted_count == 1
 
     def test_update_after_commit_rejected(self):
@@ -83,15 +84,15 @@ class TestBasicProtocol:
         with pytest.raises(SimulationError):
             harness.update(77, oid=1)
 
-    def test_needs_queue_sizes(self):
+    def test_needs_generation_sizes(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
-            HybridLogManager(sim, StableDatabase(10), queue_sizes=[])
+            HybridLogManager(sim, StableDatabase(10), generation_sizes=[])
 
 
 class TestRegeneration:
     def test_long_transaction_regenerated_into_next_queue(self):
-        harness = HybridHarness(queue_sizes=(4, 8))
+        harness = HybridHarness(generation_sizes=(4, 8))
         long_tx = harness.begin()
         harness.update(long_tx, oid=1)
         # Push enough committed traffic through queue 0 to wrap it.
@@ -103,12 +104,12 @@ class TestRegeneration:
                 harness.sim.run_until(harness.sim.now + 0.05)
         manager = harness.manager
         assert manager.regenerated_records > 0
-        entry = manager._entries[long_tx]
-        assert entry.queue_index == 1
+        entry = manager.ltt.require(long_tx)
+        assert entry.home_generation == 1
         assert manager.kill_count == 0
 
     def test_regenerated_transaction_still_commits_correctly(self):
-        harness = HybridHarness(queue_sizes=(4, 8))
+        harness = HybridHarness(generation_sizes=(4, 8))
         long_tx = harness.begin()
         value = harness.update(long_tx, oid=1)
         for i in range(30):
@@ -124,7 +125,7 @@ class TestRegeneration:
     def test_bandwidth_exceeds_record_count(self):
         # Regeneration rewrites all of a transaction's records, so total
         # appended records exceed the fresh ones whenever relocation happens.
-        harness = HybridHarness(queue_sizes=(4, 8))
+        harness = HybridHarness(generation_sizes=(4, 8))
         long_tx = harness.begin()
         for oid in range(5):
             harness.update(long_tx, oid=oid)
@@ -135,6 +136,44 @@ class TestRegeneration:
             if i % 4 == 3:
                 harness.sim.run_until(harness.sim.now + 0.05)
         manager = harness.manager
-        appended = sum(q.records_appended for q in manager.queues)
-        assert appended == manager.fresh_records + manager.regenerated_records
+        appended = sum(g.records_appended for g in manager.generations)
+        assert appended == (
+            manager.fresh_records
+            + manager.forwarded_records
+            + manager.recirculated_records
+            + manager.regenerated_records
+        )
         assert manager.regenerated_records >= 5  # the long tx moved wholesale
+
+    def test_moved_transaction_leaves_nothing_behind(self):
+        harness = HybridHarness(generation_sizes=(4, 8))
+        manager = harness.manager
+        long_tx = harness.begin()
+        entry = manager.ltt.require(long_tx)
+        oids = []
+        # Spread the long transaction's updates through queue 0 and stop
+        # at the first move out of it.
+        for i in range(60):
+            if entry.home_generation == 1:
+                break
+            oids.append(i)
+            harness.update(long_tx, oid=i)
+            tid = harness.begin()
+            harness.update(tid, oid=100 + i)
+            manager.request_commit(tid, lambda t, when: None)
+            if i % 4 == 3:
+                harness.sim.run_until(harness.sim.now + 0.05)
+        assert entry.home_generation == 1
+        assert len(oids) >= 3
+        cells = [entry.tx_cell] + [
+            manager.lot.get(oid).uncommitted_cells[long_tx] for oid in oids
+        ]
+        assert all(cell.address.generation == 1 for cell in cells)
+        assert not any(
+            cell.record.tid == long_tx
+            for cell in manager.generations[0].cells.iter_from_head()
+        )
+        harness.update(long_tx, oid=50)
+        cell = manager.lot.get(50).uncommitted_cells[long_tx]
+        assert cell.address.generation == 1
+        manager.check_invariants()

@@ -8,6 +8,10 @@ really did mean durable.
 from __future__ import annotations
 
 import asyncio
+import errno
+import json
+import logging
+import os
 
 import pytest
 
@@ -223,6 +227,53 @@ class TestServerIntegration:
         server = asyncio.run(scenario())
         assert server.aborts == 1
         assert not server._txes
+
+
+class TestLogWriteFailure:
+    def test_fsync_eio_fail_stops_without_ack(self, tmp_path, monkeypatch, caplog):
+        """One EIO from the first log fsync: no ack, and the server stops."""
+        real_fsync = os.fsync
+        injected = []
+
+        def failing_fsync(fd):
+            if not injected:
+                injected.append(fd)
+                raise OSError(errno.EIO, "injected EIO")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        grace = 2.0
+
+        async def scenario():
+            server = LiveServer(tmp_path, technique="el", drain_grace_seconds=grace)
+            run_task = asyncio.ensure_future(server.run())
+            while server._server is None:
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            _, status, _, tid = await _call(reader, writer, protocol.encode_begin(1))
+            assert status == protocol.STATUS_OK
+            await _call(reader, writer, protocol.encode_update(tid, 1, 42, 100))
+            protocol.write_frame(writer, protocol.encode_commit(tid))
+            await writer.drain()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            # Nobody calls stop(): the server must stop on its own.
+            await asyncio.wait_for(run_task, timeout=grace + 5.0)
+            elapsed = loop.time() - started
+            reply = await protocol.read_frame(reader)
+            writer.close()
+            return server, elapsed, reply
+
+        with caplog.at_level(logging.ERROR, logger="repro.live.server"):
+            server, elapsed, reply = asyncio.run(scenario())
+        assert injected, "the injected fsync error never fired"
+        assert reply is None  # the connection closed without a COMMIT ack
+        assert server.commits_acked == 0
+        assert elapsed < grace
+        assert server.counters()["log.write_errors"] == 1
+        assert "injected EIO" in caplog.text
+        manifest = json.loads((tmp_path / "server-manifest.json").read_text())
+        assert manifest["counters"]["log.write_errors"] == 1
 
 
 class TestServerConfig:

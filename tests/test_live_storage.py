@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
 import struct
 import zlib
 
@@ -204,6 +206,63 @@ class TestFileBackedDrive:
         # writes need strictly fewer than 8 data fsyncs.
         assert drive.fsyncs < 8
         assert drive.write_latency.count == 8
+
+
+    def test_fsync_error_fails_the_drive(self, tmp_path, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        real_fsync = os.fsync
+        calls = []
+
+        def failing_fsync(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "injected EIO")
+            return real_fsync(fd)
+
+        async def scenario():
+            sched = RealTimeScheduler(asyncio.get_running_loop())
+            executor = ThreadPoolExecutor(max_workers=1)
+            errors = []
+            failed = asyncio.Event()
+
+            def on_error(drive, exc):
+                errors.append(exc)
+                failed.set()
+
+            drive = FileBackedDrive(
+                sched,
+                tmp_path / "gen0.log",
+                16,
+                executor=executor,
+                on_error=on_error,
+            )
+            durable = []
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+            for slot in range(3):
+                drive.write_block(
+                    sealed_image(slot, *sample_records(base_lsn=slot * 10)),
+                    lambda slot=slot: durable.append(slot),
+                )
+            await asyncio.wait_for(failed.wait(), timeout=5.0)
+            # A write after the failure is dropped, never reported durable.
+            drive.write_block(
+                sealed_image(3, *sample_records(base_lsn=30)),
+                lambda: durable.append(3),
+            )
+            await asyncio.sleep(0.05)
+            executor.shutdown(wait=True)
+            drive.close()
+            sched.close()
+            return drive, errors, durable
+
+        drive, errors, durable = asyncio.run(scenario())
+        assert len(calls) == 1  # the failed fsync is never retried
+        assert [e.errno for e in errors] == [errno.EIO]
+        assert drive.failed is errors[0]
+        assert durable == []
+        assert drive.writes_pending == 0
+        assert drive.blocks_written == 3
 
 
 class TestFileBackedDatabase:
